@@ -455,7 +455,13 @@ def _add_cloud_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cloud", help="CSV point cloud (one point per line)")
     p.add_argument("--depth", type=int, default=12, help="cover depth when sampling an instance")
     p.add_argument("--points", choices=("midpoint", "endpoints"), default="midpoint")
-    p.add_argument("--method", choices=("auto", "dense", "grid"), default="auto")
+    p.add_argument(
+        "--method",
+        choices=("auto", "dense", "delaunay"),
+        default="auto",
+        help="MST backend for 2-D/3-D clouds: dense Prim, the Delaunay "
+        f"triangulation, or auto (dense up to {metgaps._DENSE_LIMIT} points)",
+    )
 
 
 def _add_mining_options(p: argparse.ArgumentParser) -> None:

@@ -2,12 +2,15 @@
 point clouds.
 
 kappa(delta) counts the classes of the chain relation "linked when distance
-<= delta" via union-find; merge_heights computes the distinct heights where
-kappa jumps as the edge-weight set of a minimum spanning tree (the merge
-height multiset is MST-invariant, so profiles are deterministic regardless
-of tie-breaking).  Dimension 1 supports exact rational coordinates and sorts
-instead of bucketing; dimensions 2 and 3 run in float64, with a relative tie
-tolerance recorded whenever nearly-equal heights are grouped.
+<= delta"; merge_heights computes the distinct heights where kappa jumps as
+the edge-weight set of a minimum spanning tree (the merge height multiset is
+MST-invariant, so profiles are deterministic regardless of tie-breaking).
+Dimension 1 supports exact rational coordinates and sorts; dimensions 2 and
+3 run in float64, with a relative tie tolerance recorded whenever
+nearly-equal heights are grouped.  There kappa uses a kd-tree and the MST
+comes from dense Prim or, above _DENSE_LIMIT points, from the Delaunay
+triangulation.  scipy is imported only by those 2-D/3-D paths, so the 1-D
+and dense code and the CLI start without it.
 """
 
 from __future__ import annotations
@@ -107,11 +110,12 @@ def read_cloud_csv(source: Union[str, Path]) -> PointCloud:
 
 def kappa(cloud: PointCloud, delta) -> int:
     """Number of delta-chain classes: components of the graph linking points
-    at distance <= delta (closed inequality), by union-find.
+    at distance <= delta (closed inequality).
 
     In dimension 1 consecutive sorted links realize every chain, so the
     count is one plus the number of sorted gaps exceeding delta; in higher
-    dimensions candidate edges come from a uniform grid of cell size delta.
+    dimensions a kd-tree lists the candidate pairs, the dense MST's distance
+    formula decides each link, and csgraph counts the components.
     """
     if cloud.n == 0:
         raise ValueError("point cloud must be nonempty")
@@ -126,109 +130,29 @@ def kappa(cloud: PointCloud, delta) -> int:
         raise ValueError("delta must be positive")
     if cloud.dim == 1:
         return 1 + int(np.count_nonzero(np.diff(cloud.points) > d))
-    ii, jj = _grid_pairs(cloud.points, d)
-    return _component_count(cloud.n, ii, jj)
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
 
-
-def _void_keys(cells: np.ndarray) -> np.ndarray:
-    # byte-equality view of integer rows; ordering is arbitrary but
-    # self-consistent, which is all grouping and matching need
-    c = np.ascontiguousarray(cells)
-    return c.view([("", c.dtype)] * c.shape[1]).reshape(-1)
-
-
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    reset = np.repeat(counts.cumsum() - counts, counts)
-    return np.repeat(starts, counts) + np.arange(total, dtype=np.int64) - reset
-
-
-def _grid_pairs(pts: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) at distance <= delta, found via cells of size delta:
-    qualifying pairs live in the same or adjacent cells."""
-    n, dim = pts.shape
-    cells = np.floor(pts / delta).astype(np.int64)
-    keys = _void_keys(cells)
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    is_start = np.concatenate(([True], sk[1:] != sk[:-1]))
-    starts = np.flatnonzero(is_start)
-    ends = np.append(starts[1:], n)
-    uniq = sk[starts]
-    counts = ends - starts
-    offsets = [
-        off
-        for off in itertools.product((-1, 0, 1), repeat=dim)
-        if any(off) and next(x for x in off if x) > 0
-    ]
-    pair_i: list[np.ndarray] = []
-    pair_j: list[np.ndarray] = []
-    total_pairs = 0
-
-    def _emit(ii: np.ndarray, jj: np.ndarray) -> None:
-        nonlocal total_pairs
-        if len(ii) == 0:
-            return
-        diff = pts[ii] - pts[jj]
-        dist = np.abs(diff[:, 0]) if dim == 1 else np.sqrt((diff * diff).sum(axis=1))
-        keep = dist <= delta
-        pair_i.append(ii[keep])
-        pair_j.append(jj[keep])
-
-    # same-cell pairs
-    big = counts[counts > 1]
-    total_pairs += int((big * (big - 1) // 2).sum())
-    if total_pairs > _PAIR_BUDGET:
+    n, pts = cloud.n, cloud.points
+    tree = cKDTree(pts)
+    # the tree rounds its distances its own way: query slightly wider, then
+    # keep exactly the pairs that _lengths puts at <= delta
+    radius = d * (1 + 1e-9)
+    if (tree.count_neighbors(tree, radius) - n) // 2 > _PAIR_BUDGET:
         raise ResourceError("candidate pair count exceeded the pair budget")
-    for gi in np.flatnonzero(counts > 1):
-        members = order[starts[gi] : ends[gi]]
-        iu, ju = np.triu_indices(len(members), k=1)
-        _emit(members[iu], members[ju])
-    # adjacent-cell pairs, one direction per unordered cell pair
-    for off in offsets:
-        shifted = _void_keys(cells + np.asarray(off, dtype=np.int64))
-        pos = np.searchsorted(uniq, shifted)
-        pos_c = np.clip(pos, 0, len(uniq) - 1)
-        valid = np.flatnonzero(uniq[pos_c] == shifted)
-        if len(valid) == 0:
-            continue
-        gidx = pos_c[valid]
-        cnt = counts[gidx]
-        total_pairs += int(cnt.sum())
-        if total_pairs > _PAIR_BUDGET:
-            raise ResourceError("candidate pair count exceeded the pair budget")
-        ii = np.repeat(valid, cnt)
-        jj = order[_concat_ranges(starts[gidx], cnt)]
-        _emit(ii, jj)
-    if not pair_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(pair_i), np.concatenate(pair_j)
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    pairs = pairs[_lengths(pts[pairs[:, 0]] - pts[pairs[:, 1]]) <= d]
+    graph = coo_matrix(
+        (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
+    )
+    return int(connected_components(graph, directed=False)[0])
 
 
-def _component_count(n: int, ii: np.ndarray, jj: np.ndarray) -> int:
-    """Connected components by vectorized union-find: hook the larger root
-    onto the smaller, then compress until labels stop changing."""
-    if len(ii) == 0:
-        return n
-    labels = np.arange(n, dtype=np.int64)
-    for _ in range(10_000):
-        a = labels[ii]
-        b = labels[jj]
-        if np.array_equal(a, b):
-            break
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        np.minimum.at(labels, hi, lo)
-        while True:
-            nl = labels[labels]
-            if np.array_equal(nl, labels):
-                break
-            labels = nl
-    else:  # pragma: no cover - the potential argument guarantees termination
-        raise RuntimeError("component labelling failed to converge")
-    return len(np.unique(labels))
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows of a difference array.  Every backend
+    measures with this one formula, so equal edges get bit-equal weights."""
+    return np.abs(diff[:, 0]) if diff.shape[1] == 1 else np.sqrt((diff * diff).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -269,13 +193,14 @@ def merge_heights(cloud: PointCloud, method: str = "auto") -> KappaProfile:
     """Merge heights of the single-linkage hierarchy, with multiplicities
     folded into the kappa step profile.
 
-    Methods: "auto" sorts in dimension 1 and picks dense Prim or
-    grid-accelerated Boruvka by size otherwise; "dense" forces the O(n^2)
-    reference; "grid" forces bucketing.  All methods yield the same height
-    multiset; floating-point heights closer than the relative tie tolerance
+    Methods: "auto" sorts in dimension 1 and otherwise runs dense Prim up to
+    _DENSE_LIMIT points and the Delaunay MST above it; "dense" forces the
+    O(n^2) reference; "delaunay" forces the Delaunay MST.  Both float
+    backends measure edges with the same formula, so they yield bit-equal
+    heights; floating-point heights closer than the relative tie tolerance
     are grouped and reported once.
     """
-    if method not in ("auto", "dense", "grid"):
+    if method not in ("auto", "dense", "delaunay"):
         raise ValueError(f"unknown method {method!r}")
     n = cloud.n
     if n == 0:
@@ -302,7 +227,7 @@ def merge_heights(cloud: PointCloud, method: str = "auto") -> KappaProfile:
     elif method == "dense" or (method == "auto" and n <= _DENSE_LIMIT):
         weights = _mst_dense_float(pts)
     else:
-        weights = _mst_grid_float(pts)
+        weights = _mst_delaunay(pts)
     weights = np.sort(np.asarray(weights, dtype=np.float64))
     heights: list[float] = []
     counts: list[int] = []
@@ -347,140 +272,84 @@ def _mst_dense_exact(points: Sequence[Fraction]) -> list[Fraction]:
 
 def _mst_dense_float(pts: np.ndarray) -> np.ndarray:
     """Vectorized Prim over all pairs; the unaccelerated float reference."""
-    n, dim = pts.shape
+    n = len(pts)
     if n == 1:
         return np.empty(0, dtype=np.float64)
-
-    def dist_to(k: int) -> np.ndarray:
-        diff = pts - pts[k]
-        return np.abs(diff[:, 0]) if dim == 1 else np.sqrt((diff * diff).sum(axis=1))
-
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    dist = dist_to(0)
+    dist = _lengths(pts - pts[0])
     dist[0] = np.inf
     weights = np.empty(n - 1, dtype=np.float64)
     for t in range(n - 1):
         k = int(np.argmin(np.where(in_tree, np.inf, dist)))
         weights[t] = dist[k]
         in_tree[k] = True
-        dist = np.minimum(dist, dist_to(k))
+        dist = np.minimum(dist, _lengths(pts - pts[k]))
     return weights
 
 
-class _UnionFind:
-    """Array union-find with path halving; used by Boruvka merging."""
+def _mst_delaunay(pts: np.ndarray) -> np.ndarray:
+    """MST weights via csgraph over the Delaunay edges, which contain a
+    Euclidean MST (Shamos & Hoey, 1975).  Tree edges are measured again from
+    the original coordinates."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+    n = len(pts)
+    ii, jj = _candidate_edges(pts)
+    key = np.unique(np.minimum(ii, jj).astype(np.int64) * n + np.maximum(ii, jj))
+    lo, hi = key // n, key % n
+    # csgraph reads a stored 0 as "no edge", and the square of a tiny
+    # distance can underflow to 0
+    w = np.maximum(_lengths(pts[lo] - pts[hi]), np.finfo(np.float64).smallest_subnormal)
+    tree = minimum_spanning_tree(coo_matrix((w, (lo, hi)), shape=(n, n))).tocoo()
+    assert tree.nnz == n - 1
+    return _lengths(pts[tree.row] - pts[tree.col])
 
 
-def _mst_grid_float(pts: np.ndarray) -> np.ndarray:
-    """Boruvka rounds with grid bucketing: per occupied cell, expand rings of
-    neighboring cells until each point's nearest different-component
-    neighbor is certified by the ring radius, then merge per-component
-    minimum edges (ties broken lexicographically so no cycles form)."""
+def _candidate_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs whose graph contains a Euclidean MST of the rows of pts.
+
+    Qhull rejects flat input, so the Delaunay triangulation is taken in the
+    affine hull of the points (its rank from an SVD of the centred points),
+    down to a sort in dimension 1.  Tiny inputs take all pairs.
+    """
+    from scipy.spatial import Delaunay
+
     n, dim = pts.shape
-    if n == 1:
-        return np.empty(0, dtype=np.float64)
-    span = float((pts.max(axis=0) - pts.min(axis=0)).max())
-    h = span / max(1.0, n ** (1.0 / dim))
-    if h <= 0:
-        h = 1.0
-    cells = np.floor(pts / h).astype(np.int64)
-    keys = _void_keys(cells)
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    is_start = np.concatenate(([True], sk[1:] != sk[:-1]))
-    starts = np.flatnonzero(is_start)
-    ends = np.append(starts[1:], n)
-    uniq = sk[starts]
-    cell_coords = cells[order[starts]]
-    max_ring = int(span / h) + 2
-
-    def cell_members(coord: np.ndarray) -> np.ndarray:
-        key = _void_keys(coord.reshape(1, -1))[0]
-        pos = np.searchsorted(uniq, key)
-        if pos < len(uniq) and uniq[pos] == key:
-            return order[starts[pos] : ends[pos]]
-        return np.empty(0, dtype=np.int64)
-
-    uf = _UnionFind(n)
-    comp = np.arange(n, dtype=np.int64)
-    n_comp = n
-    weights: list[float] = []
-    while n_comp > 1:
-        best_d = np.full(n, np.inf)
-        best_j = np.full(n, -1, dtype=np.int64)
-        for gi in range(len(uniq)):
-            members = order[starts[gi] : ends[gi]]
-            base = cell_coords[gi]
-            cur_d = np.full(len(members), np.inf)
-            cur_j = np.full(len(members), -1, dtype=np.int64)
-            for ring in range(max_ring + 1):
-                if ring > max_ring - 1:
-                    pool = np.arange(n, dtype=np.int64)  # exhaustive fallback
-                else:
-                    shells = []
-                    for off in itertools.product(range(-ring, ring + 1), repeat=dim):
-                        if max(abs(o) for o in off) != ring:
-                            continue
-                        shells.append(cell_members(base + np.asarray(off, dtype=np.int64)))
-                    pool = np.concatenate(shells) if shells else np.empty(0, dtype=np.int64)
-                if len(pool):
-                    diff = pts[members][:, None, :] - pts[pool][None, :, :]
-                    dmat = (
-                        np.abs(diff[:, :, 0])
-                        if dim == 1
-                        else np.sqrt((diff * diff).sum(axis=2))
-                    )
-                    same = comp[members][:, None] == comp[pool][None, :]
-                    dmat[same] = np.inf
-                    am = dmat.argmin(axis=1)
-                    dm = dmat[np.arange(len(members)), am]
-                    better = dm < cur_d
-                    cur_d[better] = dm[better]
-                    cur_j[better] = pool[am[better]]
-                if np.all(cur_d <= ring * h) or ring >= max_ring:
-                    break
-            best_d[members] = cur_d
-            best_j[members] = cur_j
-        valid = best_j >= 0
-        idx = np.flatnonzero(valid)
-        lo_idx = np.minimum(idx, best_j[idx])
-        hi_idx = np.maximum(idx, best_j[idx])
-        sort_order = np.lexsort((hi_idx, lo_idx, best_d[idx], comp[idx]))
-        sorted_comp = comp[idx][sort_order]
-        first = np.concatenate(([True], sorted_comp[1:] != sorted_comp[:-1]))
-        chosen = idx[sort_order[first]]
-        edges = {}
-        for i in chosen:
-            j = int(best_j[i])
-            key2 = (min(i, j), max(i, j))
-            edges.setdefault(key2, float(best_d[i]))
-        for (a, b), w in sorted(edges.items(), key=lambda kv: (kv[1], kv[0])):
-            if uf.union(a, b):
-                weights.append(w)
-                n_comp -= 1
-        comp = np.asarray([uf.find(i) for i in range(n)], dtype=np.int64)
-    assert len(weights) == n - 1
-    return np.asarray(weights, dtype=np.float64)
+    if n <= dim + 1:
+        return np.triu_indices(n, k=1)
+    centred = pts - pts.mean(axis=0)
+    _, s, vt = np.linalg.svd(centred, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * n * np.finfo(np.float64).eps))
+    if rank < dim:
+        return _candidate_edges(centred @ vt[:rank].T)
+    if dim == 1:
+        order = np.argsort(centred[:, 0], kind="stable")
+        return order[:-1], order[1:]
+    tri = Delaunay(centred)
+    ii = [tri.simplices[:, a] for a in range(dim + 1) for b in range(a + 1, dim + 1)]
+    jj = [tri.simplices[:, b] for a in range(dim + 1) for b in range(a + 1, dim + 1)]
+    # Qhull leaves out points within rounding distance of a vertex; its
+    # coplanar rows are (point, facet, nearest vertex).  A vertex and the
+    # points left out next to it form a cluster with its own candidate edges,
+    # and a Delaunay edge of the vertex links the whole cluster to the whole
+    # cluster at its other end.
+    cluster: dict[int, list[int]] = {}
+    for p, v in zip(tri.coplanar[:, 0].tolist(), tri.coplanar[:, 2].tolist()):
+        cluster.setdefault(v, [v]).append(p)
+    if cluster:
+        indptr, nbrs = tri.vertex_neighbor_vertices
+    for v, members in cluster.items():
+        group = np.asarray(members)
+        si, sj = _candidate_edges(pts[group])
+        ii.append(group[si])
+        jj.append(group[sj])
+        for u in nbrs[indptr[v] : indptr[v + 1]].tolist():
+            other = np.asarray(cluster.get(u, [u]))
+            ii.append(np.repeat(group, len(other)))
+            jj.append(np.tile(other, len(group)))
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 @dataclass(frozen=True)

@@ -678,35 +678,25 @@ def load_instance(source: Union[str, Path, dict]) -> GDInstance:
         doc = source
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
-    if "ifs" in doc:
-        sims = [
-            Similarity1D(
-                parse_rational(m["ratio"]),
-                int(m.get("sign", 1)),
-                parse_rational(m["offset"]),
-            )
-            for m in doc["ifs"]
-        ]
-        return GDInstance.ifs(sims)
     try:
+        if "ifs" in doc:
+            return GDInstance.ifs([_similarity(m) for m in doc["ifs"]])
         vertices = tuple(str(v) for v in doc["vertices"])
-        edges = []
-        for i, e in enumerate(doc["edges"]):
-            edges.append(
-                Edge(
-                    str(e.get("id", f"e{i + 1}")),
-                    str(e["from"]),
-                    str(e["to"]),
-                    Similarity1D(
-                        parse_rational(e["ratio"]),
-                        int(e.get("sign", 1)),
-                        parse_rational(e["offset"]),
-                    ),
-                )
-            )
+        edges = [
+            Edge(str(e.get("id", f"e{i + 1}")), str(e["from"]), str(e["to"]), _similarity(e))
+            for i, e in enumerate(doc["edges"])
+        ]
     except KeyError as exc:
         raise ValueError(f"instance document is missing field {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"instance document is malformed: {exc}") from exc
     return GDInstance(vertices, tuple(edges))
+
+
+def _similarity(m: dict) -> Similarity1D:
+    return Similarity1D(
+        parse_rational(m["ratio"]), int(m.get("sign", 1)), parse_rational(m["offset"])
+    )
 
 
 def instance_to_json(g: GDInstance) -> dict:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import dustgaps
-from dustgaps import cli
+from dustgaps import cli, metgaps
 
 CANTOR = str(dustgaps.fixture_path("cantor"))
 MIXED = str(dustgaps.fixture_path("mixed"))
@@ -329,3 +333,40 @@ def test_budget_env_exhaustion(capsys, monkeypatch):
     code, doc = run_json(capsys, "gaps", CANTOR, "--exact", "--cutoff", "1/10000")
     assert code == 3
     assert doc["result"]["error"]["kind"] == "ResourceError"
+
+
+def test_gaps_metric_collinear_cloud_above_dense_limit(capsys, tmp_path):
+    # flat input makes Qhull fail; the Delaunay path must project instead
+    p = tmp_path / "line.csv"
+    n = metgaps._DENSE_LIMIT + 100
+    p.write_text("".join(f"{i / n!r},{2 * i / n + 1!r}\n" for i in range(n)))
+    code, doc = run_json(capsys, "gaps", "--metric", "--cloud", str(p), "--noise-floor", "1e-6")
+    assert code == 0
+    assert doc["result"]["cloud"]["n"] == n
+    assert doc["result"]["values"]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{"ifs": 5}, {"ifs": [{"offset": "0"}, {"ratio": "1/3", "offset": "2/3"}]}],
+)
+def test_validate_malformed_instance(capsys, tmp_path, document):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(document))
+    code, doc = run_json(capsys, "validate", str(p))
+    assert code == 2
+    assert doc["result"]["error"]["kind"] == "ValueError"
+
+
+def test_cli_import_does_not_load_scipy():
+    # every CLI call pays its imports; scipy loads only for 2-D/3-D work
+    src = str(Path(dustgaps.__file__).resolve().parent.parent)
+    probe = "import sys, dustgaps.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -166,20 +166,20 @@ def test_mst_dense_matches_kruskal_oracle():
         assert any(abs(h - w) <= 1e-9 * max(1.0, w) for w in expected)
 
 
-def test_grid_equals_dense_random_clouds():
+def test_delaunay_equals_dense_random_clouds():
     rng = random.Random(53)
     for dim in (2, 3):
         for n in (50, 400, 1200):
             pts = [tuple(rng.random() for _ in range(dim)) for _ in range(n)]
             c = PointCloud.from_points(pts)
             dense = metgaps.merge_heights(c, method="dense")
-            grid = metgaps.merge_heights(c, method="grid")
-            assert dense.heights == grid.heights
-            assert dense.counts == grid.counts
+            fast = metgaps.merge_heights(c, method="delaunay")
+            assert dense.heights == fast.heights
+            assert dense.counts == fast.counts
 
 
-def test_grid_equals_dense_clustered_cloud():
-    # clusters force many empty grid cells and wide ring expansion
+def test_delaunay_equals_dense_clustered_cloud():
+    # well-separated clusters: long Delaunay edges must join them
     rng = random.Random(59)
     pts = []
     for cx, cy in ((0.0, 0.0), (100.0, 0.0), (50.0, 80.0)):
@@ -188,9 +188,75 @@ def test_grid_equals_dense_clustered_cloud():
         )
     c = PointCloud.from_points(pts)
     dense = metgaps.merge_heights(c, method="dense")
-    grid = metgaps.merge_heights(c, method="grid")
-    assert dense.heights == grid.heights
-    assert dense.counts == grid.counts
+    fast = metgaps.merge_heights(c, method="delaunay")
+    assert dense.heights == fast.heights
+    assert dense.counts == fast.counts
+
+
+def _line_cloud(n, dim, noise, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.random(n)
+    pts = np.outer(t, [1.0, 3.0, -2.0][:dim]) + [0.5, 1.0, 2.0][:dim]
+    pts[:, 1] += noise * rng.random(n)
+    return pts
+
+
+def _twins(n, seed):
+    # each point with a copy a few ulps away: Qhull leaves one of the two out
+    base = np.random.default_rng(seed).random((n, 2))
+    return np.concatenate([base, base + 1e-15])
+
+
+DEGENERATE_CLOUDS = {
+    "collinear_2d": lambda: _line_cloud(metgaps._DENSE_LIMIT + 200, 2, 0.0, 71),
+    "nearly_collinear_2d": lambda: _line_cloud(1500, 2, 1e-9, 73),
+    "coplanar_3d": lambda: np.random.default_rng(79).random((1500, 2))
+    @ np.array([[1.0, 0.3, 2.0], [0.2, 1.0, -1.0]]),
+    "collinear_3d": lambda: _line_cloud(800, 3, 0.0, 83),
+    "lattice_70x70": lambda: np.stack(
+        np.meshgrid(np.arange(70) * 0.1, np.arange(70) * 0.1), axis=-1
+    ).reshape(-1, 2),
+    "near_duplicates": lambda: _twins(700, 89),
+    # the squared distance of the first two points underflows to 0
+    "zero_length_edge": lambda: np.array(
+        [[0.0, 0.0], [1e-200, 0.0], [1.0, 1.0], [2.0, 0.5], [3.0, 3.0]]
+    ),
+    "two_points": lambda: np.array([[0.0, 0.0], [0.3, 0.4]]),
+    "three_points": lambda: np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_CLOUDS))
+def test_delaunay_equals_dense_degenerate_clouds(name):
+    c = PointCloud.from_points(DEGENERATE_CLOUDS[name]())
+    dense = metgaps.merge_heights(c, method="dense")
+    fast = metgaps.merge_heights(c, method="delaunay")
+    assert dense.heights == fast.heights
+    assert dense.counts == fast.counts
+
+
+def test_auto_above_dense_limit_equals_dense():
+    # the only tier-1 check of the path auto takes above the size limit
+    rng = np.random.default_rng(97)
+    centres = rng.random((60, 2)) * 10
+    pts = np.repeat(centres, 75, axis=0) + 0.05 * rng.random((60 * 75, 2))
+    c = PointCloud.from_points(pts)
+    assert c.n > metgaps._DENSE_LIMIT
+    auto = metgaps.merge_heights(c)
+    dense = metgaps.merge_heights(c, method="dense")
+    assert auto.heights == dense.heights
+    assert auto.counts == dense.counts
+
+
+def test_kappa_lattice_ties():
+    # a holed lattice with delta exactly at the axis and diagonal spacings
+    rng = random.Random(101)
+    h = 0.125
+    pts = [(i * h, j * h) for i in range(30) for j in range(30) if rng.random() < 0.6]
+    c = PointCloud.from_points(pts)
+    cpts = [tuple(row) for row in c.points]
+    for d in (h, float(np.sqrt(2 * h * h)), float(np.nextafter(h, 0))):
+        assert metgaps.kappa(c, d) == brute_components(cpts, d)
 
 
 def test_float_tie_grouping():
