@@ -297,6 +297,7 @@ def _mst_delaunay(pts: np.ndarray) -> np.ndarray:
 
     n = len(pts)
     ii, jj = _candidate_edges(pts)
+    # simplices share edges, and coo_matrix would sum repeated entries
     key = np.unique(np.minimum(ii, jj).astype(np.int64) * n + np.maximum(ii, jj))
     lo, hi = key // n, key % n
     # csgraph reads a stored 0 as "no edge", and the square of a tiny
