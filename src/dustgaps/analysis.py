@@ -257,13 +257,7 @@ def ratios_of(
             candidates.add(theta / v)
     certified_pool: frozenset[Fraction] = frozenset()
     if symbolic is not None:
-        realize = symgaps.realization_vertices(symbolic, theta)
-        pool: set[Fraction] = set()
-        for v in realize:
-            pool.update(
-                p for p in symgaps.cycle_products(symbolic, v, floor) if p < 1
-            )
-        certified_pool = frozenset(pool)
+        certified_pool = frozenset(_truncated_certificate_pool(symbolic, theta, floor))
         candidates.update(certified_pool)
     certified: list[Fraction] = []
     empirical: list[EmpiricalRatio] = []
@@ -391,6 +385,33 @@ def algdep_from_gaps(report: RatioReport) -> AlgdepReport:
     )
 
 
+def dependence_from_gaps(
+    s: SymbolicGapSet,
+    cutoff,
+    theta=None,
+    min_witnesses: int = DEFAULT_MIN_WITNESSES,
+    verify_depth: int = DEFAULT_VERIFY_DEPTH,
+    budget: int = symgaps.DEFAULT_VALUE_BUDGET,
+) -> tuple[Fraction, Optional[Fraction], Optional[AlgdepReport]]:
+    """Enumerate the gaps >= cutoff, mine the ladders through theta and
+    compute the dependence numbers from them (`algdep_from_gaps`).
+
+    theta defaults to the largest enumerated gap below the residual
+    threshold, the cheapest ladder base.  Returns (threshold, theta,
+    report); theta and report are None when no enumerated gap qualifies.
+    """
+    enum = symgaps.enumerate_gaps(s, cutoff, budget=budget)
+    threshold = symgaps.natural_delta(s)
+    if theta is None:
+        eligible = [v for v in enum.values if v < threshold]
+        if not eligible:
+            return threshold, None, None
+        theta = eligible[0]
+    theta = Fraction(theta)
+    report = ratios_of(enum, theta, min_witnesses, verify_depth, symbolic=s)
+    return threshold, theta, algdep_from_gaps(report)
+
+
 def lower_bound(report: AlgdepReport) -> int:
     """The independence number bounds the size of any generating system of
     the same attractor from below (each generator contributes at most one
@@ -469,6 +490,7 @@ def verify_sandwich(
     min_witnesses: int = DEFAULT_MIN_WITNESSES,
     verify_depth: int = DEFAULT_VERIFY_DEPTH,
     report: Optional[RatioReport] = None,
+    budget: int = symgaps.DEFAULT_VALUE_BUDGET,
 ) -> Verdict:
     """Squeeze the mined ratio set from both sides.
 
@@ -477,11 +499,12 @@ def verify_sandwich(
     >= floor) must be certified.  Upper: every verified ratio must lie in
     the nonnegative rational cone of the contraction ratios.  theta must
     sit below the residual threshold for the ladder structure to apply;
-    otherwise the verdict is inconclusive rather than a failure.
+    otherwise the verdict is inconclusive rather than a failure.  `budget`
+    caps the values of the gap enumeration at the floor.
     """
     theta = Fraction(theta)
     floor = Fraction(floor)
-    enum = symgaps.enumerate_gaps(s, floor)
+    enum = symgaps.enumerate_gaps(s, floor, budget=budget)
     if theta not in set(enum.values):
         return Verdict(
             "ratio-sandwich",
@@ -557,13 +580,15 @@ def verify_intrinsic_dependence(
     root: Optional[str] = None,
     min_witnesses: int = DEFAULT_MIN_WITNESSES,
     verify_depth: int = DEFAULT_VERIFY_DEPTH,
+    budget: int = symgaps.DEFAULT_VALUE_BUDGET,
 ) -> Verdict:
     """Compare the dependence number computed intrinsically from gap data
     with the one computed from the instance's contraction ratios.
 
     One-vertex systems must agree exactly; for larger graphs the gap-side
     dimension can only be bounded above by the instance-side independence
-    number, so the check is an inequality there.
+    number, so the check is an inequality there.  `budget` caps the values
+    of the gap enumeration at the floor.
     """
     floor = Fraction(floor)
     sep = separation_check(g)
@@ -575,27 +600,16 @@ def verify_intrinsic_dependence(
             {"separation": sep.verdict},
         )
     s = symgaps.build(g, root=root, separation=sep)
-    enum = symgaps.enumerate_gaps(s, floor)
-    threshold = symgaps.natural_delta(s)
-    eligible = [v for v in enum.values if v < threshold]
-    if theta is None:
-        if not eligible:
-            return Verdict(
-                "intrinsic-dependence",
-                INCONCLUSIVE,
-                "no enumerated gap below the residual threshold; lower the floor",
-                {"threshold": format_rational(threshold)},
-            )
-        theta = eligible[0]  # largest eligible gap: cheapest ladder base
-    theta = Fraction(theta)
-    report = ratios_of(
-        enum,
-        theta,
-        min_witnesses=min_witnesses,
-        verify_depth=verify_depth,
-        symbolic=s,
+    threshold, theta, gaps_rep = dependence_from_gaps(
+        s, floor, theta, min_witnesses, verify_depth, budget
     )
-    gaps_rep = algdep_from_gaps(report)
+    if gaps_rep is None:
+        return Verdict(
+            "intrinsic-dependence",
+            INCONCLUSIVE,
+            "no enumerated gap below the residual threshold; lower the floor",
+            {"threshold": format_rational(threshold)},
+        )
     ifs_rep = algdep_of_ifs(g)
     details = {
         "theta": format_rational(theta),

@@ -59,12 +59,8 @@ def _emit(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text)
 
 
-def _load(path: str) -> model.GDInstance:
-    return model.load_instance(path)
-
-
 def _validated(path: str) -> model.GDInstance:
-    g = _load(path)
+    g = model.load_instance(path)
     finds = model.validate(g)
     if finds:
         raise model.StructuralError(
@@ -107,7 +103,7 @@ def _symbolic(g: model.GDInstance, root: Optional[str]):
 
 def _cmd_validate(args) -> tuple[dict, dict, Optional[str], int]:
     params = {"instance": args.instance}
-    g = _load(args.instance)
+    g = model.load_instance(args.instance)
     finds = model.validate(g)
     if finds:
         result = {
@@ -268,39 +264,8 @@ def _cmd_ratios(args) -> tuple[dict, dict, Optional[str], int]:
     return params, report.to_json(), None, 0
 
 
-def _gap_algdep(args, g: model.GDInstance) -> tuple[analysis.AlgdepReport, dict]:
-    cutoff = parse_rational(args.cutoff)
-    s, _ = _symbolic(g, args.root)
-    enum = symgaps.enumerate_gaps(
-        s, cutoff, budget=_budget(symgaps.DEFAULT_VALUE_BUDGET)
-    )
-    threshold = symgaps.natural_delta(s)
-    if args.theta is not None:
-        theta = parse_rational(args.theta)
-    else:
-        eligible = [v for v in enum.values if v < threshold]
-        if not eligible:
-            raise ValueError(
-                "no enumerated gap below the residual threshold "
-                f"{format_rational(threshold)}; lower --cutoff"
-            )
-        theta = eligible[0]
-    report = analysis.ratios_of(
-        enum,
-        theta,
-        min_witnesses=args.min_witnesses,
-        verify_depth=args.verify_depth,
-        symbolic=s,
-    )
-    extra = {
-        "theta": format_rational(theta),
-        "cutoff": format_rational(cutoff),
-        "threshold": format_rational(threshold),
-    }
-    return analysis.algdep_from_gaps(report), extra
-
-
-def _cmd_algdep(args) -> tuple[dict, dict, Optional[str], int]:
+def _dependence(args) -> tuple[dict, analysis.AlgdepReport, dict]:
+    """Parameters, dependence report and gap-side fields of algdep and bound."""
     source = "ifs" if args.from_ifs else "gaps"
     params = {
         "instance": args.instance,
@@ -313,10 +278,29 @@ def _cmd_algdep(args) -> tuple[dict, dict, Optional[str], int]:
     }
     g = _validated(args.instance)
     if args.from_ifs:
-        rep = analysis.algdep_of_ifs(g)
-        extra = {}
-    else:
-        rep, extra = _gap_algdep(args, g)
+        return params, analysis.algdep_of_ifs(g), {}
+    cutoff = parse_rational(args.cutoff)
+    s, _ = _symbolic(g, args.root)
+    budget = _budget(symgaps.DEFAULT_VALUE_BUDGET)
+    theta = None if args.theta is None else parse_rational(args.theta)
+    threshold, theta, rep = analysis.dependence_from_gaps(
+        s, cutoff, theta, args.min_witnesses, args.verify_depth, budget
+    )
+    if rep is None:
+        raise ValueError(
+            "no enumerated gap below the residual threshold "
+            f"{format_rational(threshold)}; lower --cutoff"
+        )
+    extra = {
+        "theta": format_rational(theta),
+        "cutoff": format_rational(cutoff),
+        "threshold": format_rational(threshold),
+    }
+    return params, rep, extra
+
+
+def _cmd_algdep(args) -> tuple[dict, dict, Optional[str], int]:
+    params, rep, extra = _dependence(args)
     return params, {**extra, **rep.to_json()}, None, 0
 
 
@@ -366,6 +350,7 @@ def _cmd_verify(args) -> tuple[dict, dict, Optional[str], int]:
             root=args.root,
             min_witnesses=args.min_witnesses,
             verify_depth=args.verify_depth,
+            budget=_budget(symgaps.DEFAULT_VALUE_BUDGET),
         )
     else:
         if args.instance is None:
@@ -390,28 +375,14 @@ def _cmd_verify(args) -> tuple[dict, dict, Optional[str], int]:
             parse_rational(args.floor),
             min_witnesses=args.min_witnesses,
             verify_depth=args.verify_depth,
+            budget=_budget(symgaps.DEFAULT_VALUE_BUDGET),
         )
     code = 1 if verdict.status == analysis.FAIL else 0
     return params, verdict.to_json(), verdict.claim, code
 
 
 def _cmd_bound(args) -> tuple[dict, dict, Optional[str], int]:
-    source = "ifs" if args.from_ifs else "gaps"
-    params = {
-        "instance": args.instance,
-        "source": source,
-        "theta": args.theta,
-        "cutoff": args.cutoff if source == "gaps" else None,
-        "min_witnesses": args.min_witnesses,
-        "verify_depth": args.verify_depth,
-        "root": args.root,
-    }
-    g = _validated(args.instance)
-    if args.from_ifs:
-        rep = analysis.algdep_of_ifs(g)
-        extra = {}
-    else:
-        rep, extra = _gap_algdep(args, g)
+    params, rep, extra = _dependence(args)
     result = {
         **extra,
         "lower_bound": analysis.lower_bound(rep),
@@ -429,7 +400,7 @@ def _cmd_prune(args) -> tuple[dict, dict, Optional[str], int]:
         "depth": args.depth,
         "pruned_output": args.write_pruned,
     }
-    g = _load(args.instance)
+    g = model.load_instance(args.instance)
     res = analysis.prune_to_ssc(g, args.assert_full_measure, depth=args.depth)
     pruned_doc = model.instance_to_json(res.pruned)
     if args.write_pruned:

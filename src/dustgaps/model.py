@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .exactnum import format_rational, parse_rational
 
@@ -566,6 +566,43 @@ def approximate(
     return Cover(u, depth, intervals, resolution, tuple(pts), point_mode)
 
 
+def product_states(
+    g: GDInstance,
+    start: str,
+    bound: Mapping[str, Fraction],
+    threshold: Fraction,
+    ceiling: int,
+    stage: str,
+) -> Iterator[tuple[str, Fraction]]:
+    """Each state (vertex, path ratio product) reachable from (start, 1),
+    yielded once, depth first.
+
+    An edge step to (w, r) is taken only while r * bound[w] >= threshold, so
+    a bound on everything contributed below w prunes whole subtrees.  Equal
+    products at one vertex merge and products only shrink, so the walk is
+    finite; past `ceiling` visited states it raises ResourceError naming
+    `stage`.
+    """
+    # r * bound[w] >= threshold  <=>  r >= threshold / bound[w]; a zero or
+    # missing bound never qualifies because the threshold is positive
+    steps = {
+        v: [(e.dst, e.sim.ratio, threshold / bound[e.dst]) for e in es if bound.get(e.dst, 0) > 0]
+        for v, es in _out_map(g).items()
+    }
+    visited: set[tuple[str, Fraction]] = {(start, Fraction(1))}
+    stack = list(visited)
+    while stack:
+        v, r = stack.pop()
+        if len(visited) > ceiling:
+            raise ResourceError(f"{stage} exceeded its state budget")
+        yield v, r
+        for w, ratio, least in steps[v]:
+            r2 = r * ratio
+            if r2 >= least and (w, r2) not in visited:
+                visited.add((w, r2))
+                stack.append((w, r2))
+
+
 def path_products(
     g: GDInstance,
     u: str,
@@ -575,30 +612,18 @@ def path_products(
 ) -> set[Fraction]:
     """Ratio products of all nonempty edge paths u -> v with product >= floor.
 
-    Distinct paths with equal products collapse; states (vertex, product) are
-    memoized, so the walk terminates because products only shrink.
+    Distinct paths with equal products collapse.  Every ratio of a valid
+    instance is below 1, so no nonempty path returns to the start state
+    (u, 1), which is skipped as the empty path.
     """
     floor = Fraction(floor)
     if floor <= 0:
         raise ValueError("floor must be positive")
-    out = _out_map(g)
-    products: set[Fraction] = set()
-    visited: set[tuple[str, Fraction]] = {(u, Fraction(1))}
-    stack: list[tuple[str, Fraction]] = [(u, Fraction(1))]
-    while stack:
-        w, r = stack.pop()
-        if len(visited) > state_budget:
-            raise ResourceError("path product enumeration exceeded its state budget")
-        for e in out[w]:
-            r2 = r * e.sim.ratio
-            if r2 < floor:
-                continue
-            if e.dst == v:
-                products.add(r2)
-            if (e.dst, r2) not in visited:
-                visited.add((e.dst, r2))
-                stack.append((e.dst, r2))
-    return products
+    walk = product_states(
+        g, u, dict.fromkeys(g.vertices, 1), floor, state_budget, "path product enumeration"
+    )
+    next(walk)
+    return {r for w, r in walk if w == v}
 
 
 def hausdorff_distance(a: Sequence[Interval], b: Sequence[Interval]) -> Fraction:
@@ -669,8 +694,9 @@ def load_instance(source: Union[str, Path, dict]) -> GDInstance:
     """Read an instance from a JSON file path or an already-parsed dict.
 
     Full form: {"vertices": [...], "edges": [{"id", "from", "to", "ratio",
-    "sign", "offset"}]} with ratio/offset as exact rational strings.
-    One-vertex shorthand: {"ifs": [{"ratio", "sign", "offset"}]}.
+    "sign", "offset"}]} with ratio/offset as exact rational strings and sign
+    the integer 1 (the default) or -1.  One-vertex shorthand: {"ifs":
+    [{"ratio", "sign", "offset"}]}.  Any other top-level key is an error.
     """
     if isinstance(source, (str, Path)):
         doc = json.loads(Path(source).read_text())
@@ -678,6 +704,9 @@ def load_instance(source: Union[str, Path, dict]) -> GDInstance:
         doc = source
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
+    unknown = set(doc) - ({"ifs"} if "ifs" in doc else {"vertices", "edges"})
+    if unknown:
+        raise ValueError(f"instance document has unknown keys {sorted(map(str, unknown))}")
     try:
         if "ifs" in doc:
             return GDInstance.ifs([_similarity(m) for m in doc["ifs"]])
@@ -694,9 +723,13 @@ def load_instance(source: Union[str, Path, dict]) -> GDInstance:
 
 
 def _similarity(m: dict) -> Similarity1D:
-    return Similarity1D(
-        parse_rational(m["ratio"]), int(m.get("sign", 1)), parse_rational(m["offset"])
-    )
+    ratio, sign, offset = m["ratio"], m.get("sign", 1), m["offset"]
+    # a JSON number has already been rounded to binary by the parser
+    if not (isinstance(ratio, str) and isinstance(offset, str)):
+        raise ValueError(f"ratio and offset must be rational strings, got {ratio!r}, {offset!r}")
+    if type(sign) is not int:
+        raise ValueError(f"sign must be the integer 1 or -1, got {sign!r}")
+    return Similarity1D(parse_rational(ratio), sign, parse_rational(offset))
 
 
 def instance_to_json(g: GDInstance) -> dict:

@@ -18,6 +18,7 @@ from typing import Optional
 
 from .exactnum import format_rational
 from .model import (
+    Edge,
     GDInstance,
     HullList,
     ResourceError,
@@ -27,6 +28,7 @@ from .model import (
     child_hulls,
     hulls,
     path_products,
+    product_states,
     separation_check,
 )
 
@@ -104,15 +106,7 @@ def build(
             f"{separation.verdict!r}; use the metric pipeline instead"
         )
     h = hulls(g)
-    out = _out_map(g)
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        v = frontier.pop()
-        for e in out[v]:
-            if e.dst not in seen:
-                seen.add(e.dst)
-                frontier.append(e.dst)
+    seen = _reach(_out_map(g), root)
     reachable = tuple(v for v in g.vertices if v in seen)
     level0: dict[str, tuple[Fraction, ...]] = {}
     for v in reachable:
@@ -130,26 +124,28 @@ def natural_delta(s: SymbolicGapSet) -> Fraction:
     return min(sp[0] for v, sp in s.level0.items() if sp)
 
 
+def _reach(out: dict[str, list[Edge]], v: str) -> set[str]:
+    """Vertices reachable from v by edge paths, v included."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        for e in out[frontier.pop()]:
+            if e.dst not in seen:
+                seen.add(e.dst)
+                frontier.append(e.dst)
+    return seen
+
+
 def _max_visible(s: SymbolicGapSet) -> dict[str, Fraction]:
     """Largest level-zero spacing reachable from each vertex (path products
     only shrink, so this bounds every value contributed below a vertex)."""
     if "maxvis" in s._memo:
         return s._memo["maxvis"]
     out = _out_map(s.graph)
-    result: dict[str, Fraction] = {}
-    for v in s.reachable:
-        seen = {v}
-        frontier = [v]
-        best = max(s.level0[v]) if s.level0[v] else Fraction(0)
-        while frontier:
-            w = frontier.pop()
-            for e in out[w]:
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    frontier.append(e.dst)
-                    if s.level0[e.dst]:
-                        best = max(best, max(s.level0[e.dst]))
-        result[v] = best
+    result = {
+        v: max((sp for w in _reach(out, v) for sp in s.level0[w]), default=Fraction(0))
+        for v in s.reachable
+    }
     s._memo["maxvis"] = result
     return result
 
@@ -175,16 +171,9 @@ def enumerate_gaps(
     key = ("enum", root, cutoff)
     if key in s._memo:
         return s._memo[key]
-    maxvis = _max_visible(s)
-    out = _out_map(s.graph)
     values: set[Fraction] = set()
-    one = Fraction(1)
-    visited: set[tuple[str, Fraction]] = {(root, one)}
-    stack: list[tuple[str, Fraction]] = [(root, one)]
-    while stack:
-        v, r = stack.pop()
-        if len(visited) > 8 * budget:
-            raise ResourceError("gap enumeration exceeded its state budget")
+    maxvis = _max_visible(s)
+    for v, r in product_states(s.graph, root, maxvis, cutoff, 8 * budget, "gap enumeration"):
         for sp in s.level0[v]:
             val = r * sp
             if val >= cutoff:
@@ -193,11 +182,6 @@ def enumerate_gaps(
                     raise ResourceError(
                         f"gap enumeration exceeded its budget of {budget} values"
                     )
-        for e in out[v]:
-            r2 = r * e.sim.ratio
-            if r2 * maxvis[e.dst] >= cutoff and (e.dst, r2) not in visited:
-                visited.add((e.dst, r2))
-                stack.append((e.dst, r2))
     result = GapEnumeration(cutoff, tuple(sorted(values, reverse=True)))
     s._memo[key] = result
     return result
@@ -220,7 +204,8 @@ def realization_vertices(s: SymbolicGapSet, x) -> tuple[str, ...]:
     """Vertices v admitting a root path with x == (path product) * spacing(v).
 
     Empty means x is not a gap length.  The full state space above x is
-    finite for the same pruning reason as in enumerate_gaps.
+    finite for the same pruning reason as in enumerate_gaps, and shares its
+    default state ceiling of 8 * DEFAULT_VALUE_BUDGET.
     """
     x = Fraction(x)
     if x <= 0:
@@ -228,23 +213,9 @@ def realization_vertices(s: SymbolicGapSet, x) -> tuple[str, ...]:
     key = ("realize", x)
     if key in s._memo:
         return s._memo[key]
-    maxvis = _max_visible(s)
-    out = _out_map(s.graph)
-    found: set[str] = set()
-    one = Fraction(1)
-    visited: set[tuple[str, Fraction]] = {(s.root, one)}
-    stack: list[tuple[str, Fraction]] = [(s.root, one)]
-    while stack:
-        v, r = stack.pop()
-        for sp in s.level0[v]:
-            if r * sp == x:
-                found.add(v)
-        for e in out[v]:
-            r2 = r * e.sim.ratio
-            if r2 * maxvis[e.dst] >= x and (e.dst, r2) not in visited:
-                visited.add((e.dst, r2))
-                stack.append((e.dst, r2))
-    result = tuple(sorted(found))
+    ceiling = 8 * DEFAULT_VALUE_BUDGET
+    walk = product_states(s.graph, s.root, _max_visible(s), x, ceiling, "gap membership")
+    result = tuple(sorted({v for v, r in walk if any(r * sp == x for sp in s.level0[v])}))
     s._memo[key] = result
     return result
 

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dustgaps
-from dustgaps import cli, metgaps
+from dustgaps import cli, metgaps, model
 
 CANTOR = str(dustgaps.fixture_path("cantor"))
 MIXED = str(dustgaps.fixture_path("mixed"))
@@ -328,9 +330,18 @@ def test_budget_env_validation(capsys, monkeypatch):
     assert code == 2
 
 
-def test_budget_env_exhaustion(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gaps", CANTOR, "--exact", "--cutoff", "1/10000"),
+        ("verify", CANTOR, "--yzx"),
+        ("verify", CANTOR, "--sandwich", "--theta", "1/9"),
+    ],
+    ids=["gaps", "yzx", "sandwich"],
+)
+def test_budget_env_exhaustion(capsys, monkeypatch, argv):
     monkeypatch.setenv("DUSTGAPS_BUDGET", "2")
-    code, doc = run_json(capsys, "gaps", CANTOR, "--exact", "--cutoff", "1/10000")
+    code, doc = run_json(capsys, *argv)
     assert code == 3
     assert doc["result"]["error"]["kind"] == "ResourceError"
 
@@ -348,7 +359,16 @@ def test_gaps_metric_collinear_cloud_above_dense_limit(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "document",
-    [{"ifs": 5}, {"ifs": [{"offset": "0"}, {"ratio": "1/3", "offset": "2/3"}]}],
+    [
+        {"ifs": 5},
+        {"ifs": [{"offset": "0"}, {"ratio": "1/3", "offset": "2/3"}]},
+        {"ifs": [{"ratio": 0.3333333333333333, "offset": "0"}, {"ratio": "1/3", "offset": "2/3"}]},
+        {"ifs": [{"ratio": "1/3", "offset": 0}, {"ratio": "1/3", "offset": "2/3"}]},
+        {"ifs": [{"ratio": "1/3", "offset": "0", "sign": 1.7}, {"ratio": "1/3", "offset": "2/3"}]},
+        {"ifs": [{"ratio": "1/3", "offset": "0", "sign": True}, {"ratio": "1/3", "offset": "2/3"}]},
+        {"ifs": [{"ratio": "1/3", "offset": "0"}, {"ratio": "1/3", "offset": "2/3"}], "name": "x"},
+        {"vertices": ["u"], "edges": [], "ifs": []},
+    ],
 )
 def test_validate_malformed_instance(capsys, tmp_path, document):
     p = tmp_path / "bad.json"
@@ -356,6 +376,64 @@ def test_validate_malformed_instance(capsys, tmp_path, document):
     code, doc = run_json(capsys, "validate", str(p))
     assert code == 2
     assert doc["result"]["error"]["kind"] == "ValueError"
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(["1/3", "1/2", "2/3", "0", "1", "-1/4", "3/2", "1/0", "u", "", " 1/5 "]),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_MAP_FIELDS = {"ratio": _JSON, "offset": _JSON}
+_MAP_OPTIONAL = {"sign": st.one_of(st.sampled_from([1, -1, 0, 2, 1.0, True, "1"]), _JSON)}
+_VERTEX = st.sampled_from(["u", "v"])
+# at most two maps per vertex keeps the separation refinement of a valid
+# instance cheap (2**12 compositions per cover)
+_DOCUMENTS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {"ifs": st.lists(st.fixed_dictionaries(_MAP_FIELDS, optional=_MAP_OPTIONAL), max_size=2)},
+        optional={"name": _JSON, "vertices": _JSON},
+    ),
+    st.fixed_dictionaries(
+        {
+            "vertices": st.lists(_VERTEX, max_size=2),
+            "edges": st.lists(
+                st.fixed_dictionaries(
+                    {"from": _VERTEX, "to": _VERTEX, **_MAP_FIELDS},
+                    optional={"id": st.sampled_from(["e1", "e2"]), **_MAP_OPTIONAL},
+                ),
+                max_size=4,
+            ),
+        }
+    ),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(document=_DOCUMENTS)
+def test_validate_fuzzed_documents(capsys, tmp_path, document):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(document))
+    try:
+        assert isinstance(model.load_instance(str(p)), model.GDInstance)
+    except ValueError:
+        pass
+    code, out = run(capsys, "validate", str(p))
+    assert code in (0, 2)
+    doc = json.loads(out)  # exactly one envelope, nothing after it
+    assert doc["command"] == "validate"
+    assert "Traceback" not in out
 
 
 def test_cli_import_does_not_load_scipy():

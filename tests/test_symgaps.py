@@ -150,6 +150,25 @@ def test_recursive_identity_gd2():
     assert direct == rebuilt
 
 
+def test_walks_ignore_vertices_unreachable_from_root():
+    # w maps into u but u never reaches w, so w adds no gaps at u
+    g = model.load_instance(
+        {
+            "vertices": ["u", "w"],
+            "edges": [
+                {"id": "a", "from": "u", "to": "u", "ratio": "1/3", "offset": "0"},
+                {"id": "b", "from": "u", "to": "u", "ratio": "1/3", "offset": "2/3"},
+                {"id": "c", "from": "w", "to": "w", "ratio": "1/4", "offset": "0"},
+                {"id": "d", "from": "w", "to": "u", "ratio": "1/3", "offset": "2/3"},
+            ],
+        }
+    )
+    s = build(g, root="u")
+    assert s.reachable == ("u",)
+    assert symgaps.enumerate_gaps(s, F(1, 100)).values == (F(1, 3), F(1, 9), F(1, 27), F(1, 81))
+    assert symgaps.realization_vertices(s, F(1, 27)) == ("u",)
+
+
 def test_enumeration_budget():
     s = build(MIXED)
     with pytest.raises(model.ResourceError):
@@ -174,6 +193,23 @@ def test_contains_and_realization():
     assert symgaps.realization_vertices(sg, F(1, 5)) == ()
     # 1/8: path e1 into u (product 1/4) times the level-0 gap 1/2 at u
     assert symgaps.contains(sg, F(1, 8))
+
+
+def test_membership_state_ceiling(monkeypatch):
+    # the membership walk shares enumerate_gaps' default ceiling of
+    # 8 * DEFAULT_VALUE_BUDGET states, read at call time
+    deep = F(1, 3**11)  # 11 states from the root down to it
+    monkeypatch.setattr(symgaps, "DEFAULT_VALUE_BUDGET", 1)
+    s = build(CANTOR)
+    with pytest.raises(model.ResourceError, match="gap membership"):
+        symgaps.realization_vertices(s, deep)
+    with pytest.raises(model.ResourceError, match="gap membership"):
+        symgaps.contains(s, deep)
+    # shallow values stay within the ceiling
+    assert symgaps.realization_vertices(s, F(1, 9)) == ("u",)
+    monkeypatch.setattr(symgaps, "DEFAULT_VALUE_BUDGET", 2)
+    assert symgaps.realization_vertices(s, deep) == ("u",)
+    assert symgaps.contains(s, deep)
 
 
 def test_residual_split_cantor():
