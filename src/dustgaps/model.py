@@ -589,8 +589,8 @@ def product_states(
         v: [(e.dst, e.sim.ratio, threshold / bound[e.dst]) for e in es if bound.get(e.dst, 0) > 0]
         for v, es in _out_map(g).items()
     }
-    visited: set[tuple[str, Fraction]] = {(start, Fraction(1))}
-    stack = list(visited)
+    stack = [(start, Fraction(1))]
+    visited = set(stack)
     while stack:
         v, r = stack.pop()
         if len(visited) > ceiling:

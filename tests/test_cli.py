@@ -390,27 +390,33 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-_MAP_FIELDS = {"ratio": _JSON, "offset": _JSON}
-_MAP_OPTIONAL = {"sign": st.one_of(st.sampled_from([1, -1, 0, 2, 1.0, True, "1"]), _JSON)}
-_VERTEX = st.sampled_from(["u", "v"])
-# at most two maps per vertex keeps the separation refinement of a valid
-# instance cheap (2**12 compositions per cover)
+# half the maps are well formed, so some documents are valid instances; at
+# most two maps per vertex keep their separation refinement cheap
+_MAP = st.one_of(
+    st.fixed_dictionaries(
+        {"ratio": st.sampled_from(["1/3", "1/4", "2/3"]), "offset": st.sampled_from(["0", "1/3", "2/3"])},
+        optional={"sign": st.sampled_from([1, -1])},
+    ),
+    st.fixed_dictionaries({"ratio": _JSON, "offset": _JSON}, optional={"sign": _JSON}),
+)
+
+
+def _edges_from(vertex: str):
+    return st.lists(
+        st.tuples(st.sampled_from(["u", "v"]), _MAP).map(
+            lambda t: {"from": vertex, "to": t[0], **t[1]}
+        ),
+        max_size=2,
+    )
+
+
 _DOCUMENTS = st.one_of(
     _JSON,
-    st.fixed_dictionaries(
-        {"ifs": st.lists(st.fixed_dictionaries(_MAP_FIELDS, optional=_MAP_OPTIONAL), max_size=2)},
-        optional={"name": _JSON, "vertices": _JSON},
-    ),
+    st.fixed_dictionaries({"ifs": st.lists(_MAP, max_size=2)}, optional={"name": _JSON}),
     st.fixed_dictionaries(
         {
-            "vertices": st.lists(_VERTEX, max_size=2),
-            "edges": st.lists(
-                st.fixed_dictionaries(
-                    {"from": _VERTEX, "to": _VERTEX, **_MAP_FIELDS},
-                    optional={"id": st.sampled_from(["e1", "e2"]), **_MAP_OPTIONAL},
-                ),
-                max_size=4,
-            ),
+            "vertices": st.lists(st.sampled_from(["u", "v"]), max_size=2),
+            "edges": st.tuples(_edges_from("u"), _edges_from("v")).map(lambda t: t[0] + t[1]),
         }
     ),
 )
