@@ -19,12 +19,12 @@ so a spurious survivor is reported loudly instead of silently absorbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import symgaps
-from .exactnum import QSpan, factor, format_rational, nonneg_solve, qrank
+from .exactnum import ExponentVector, QSpan, factor, format_rational, nonneg_solve, qrank
 from .model import (
     GDInstance,
     HULL_DISJOINT,
@@ -53,9 +53,11 @@ class PruneError(RuntimeError):
 class MonomialCone:
     """Finite set of positive rational generators, considered through the
     monoid (integer exponents) and cone (nonnegative rational exponents)
-    they generate multiplicatively."""
+    they generate multiplicatively.  `vectors` holds the generators'
+    prime-exponent vectors, factored once here."""
 
     generators: tuple[Fraction, ...]
+    vectors: tuple[ExponentVector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gens = tuple(sorted({Fraction(g) for g in self.generators}))
@@ -64,6 +66,7 @@ class MonomialCone:
         if not gens:
             raise ValueError("need at least one generator")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "vectors", tuple(factor(g) for g in gens))
 
 
 @dataclass(frozen=True)
@@ -156,9 +159,7 @@ def cone_contains_q(cone: MonomialCone, x) -> ConeDecision:
         return ConeDecision(
             "yes", coefficients=tuple(Fraction(0) for _ in cone.generators)
         )
-    target = factor(x)
-    gen_vecs = [factor(g) for g in cone.generators]
-    sol = nonneg_solve(target, gen_vecs)
+    sol = nonneg_solve(factor(x), cone.vectors)
     if sol is None:
         return ConeDecision("no")
     return ConeDecision("yes", coefficients=tuple(sol))
@@ -236,6 +237,19 @@ def ratios_of(
     members at or above the floor and, with a symbolic set, must pass
     membership checks for `verify_depth` further members below the floor.
     """
+    return _mine_ratios(theta_set, theta, min_witnesses, verify_depth, symbolic, None)
+
+
+def _mine_ratios(
+    theta_set: Union[GapEnumeration, Iterable[Fraction]],
+    theta,
+    min_witnesses: int,
+    verify_depth: int,
+    symbolic: Optional[SymbolicGapSet],
+    certified_pool: Optional[tuple[Fraction, ...]],
+) -> RatioReport:
+    """`ratios_of`, taking the certificate pool at the floor from a caller
+    that already holds it (None: walk it here when `symbolic` is given)."""
     theta = Fraction(theta)
     if min_witnesses < 3:
         raise ValueError("min_witnesses below 3 would admit accidental pairs")
@@ -255,14 +269,16 @@ def ratios_of(
             candidates.add(v / theta)
         elif v > theta:
             candidates.add(theta / v)
-    certified_pool: frozenset[Fraction] = frozenset()
+    certified_set: frozenset[Fraction] = frozenset()
     if symbolic is not None:
-        certified_pool = frozenset(_truncated_certificate_pool(symbolic, theta, floor))
-        candidates.update(certified_pool)
+        if certified_pool is None:
+            certified_pool = _truncated_certificate_pool(symbolic, theta, floor)
+        certified_set = frozenset(certified_pool)
+        candidates.update(certified_set)
     certified: list[Fraction] = []
     empirical: list[EmpiricalRatio] = []
     for r in sorted(candidates, reverse=True):
-        is_certified = r in certified_pool
+        is_certified = r in certified_set
         if is_certified:
             certified.append(r)
         top = theta
@@ -525,15 +541,9 @@ def verify_sandwich(
                 "threshold": format_rational(threshold),
             },
         )
-    if report is None:
-        report = ratios_of(
-            enum,
-            theta,
-            min_witnesses=min_witnesses,
-            verify_depth=verify_depth,
-            symbolic=s,
-        )
     lower_pool = _truncated_certificate_pool(s, theta, floor)
+    if report is None:
+        report = _mine_ratios(enum, theta, min_witnesses, verify_depth, s, lower_pool)
     certified = set(report.certified)
     missing = [r for r in lower_pool if r not in certified]
     cone = MonomialCone(g.ratio_set())
@@ -694,10 +704,12 @@ def prune_to_ssc(
         current = current.without_edge(w.inner)
         removals.append(Removal(w.inner, outer, w.word))
     root = g.vertices[0]
+    bound = 2 * g.max_ratio**depth * hulls(g).diameter(root)
+    if not removals:
+        # nothing removed: the system is its own audit, at distance 0
+        return PruneResult(current, (), sep.verdict, Fraction(0), bound, depth)
     cover_orig = cover_intervals(g, root, depth)
     cover_pruned = cover_intervals(current, root, depth)
-    h = hulls(g)
-    bound = 2 * g.max_ratio**depth * h.diameter(root)
     dist = hausdorff_distance(cover_orig, cover_pruned)
     if dist > bound:
         raise PruneError(

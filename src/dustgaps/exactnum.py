@@ -3,13 +3,15 @@
 Positive rationals are encoded as signed prime-exponent vectors, which turns
 multiplicative problems (rank of a ratio set over Q, membership in a span,
 nonnegative-combination feasibility) into exact linear algebra over the
-rationals.  Plain `fractions.Fraction` is the scalar type throughout; values
+rationals.  Elimination runs fraction-free over integer exponents; plain
+`fractions.Fraction` is the scalar type of every returned value, and values
 serialize as exact strings such as "3/4" or "2".
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -157,22 +159,12 @@ def qrank(vectors: Iterable[ExponentVector]) -> QSpan:
     """Row-reduce the vectors over Q; the span's dimension is their rank."""
     vecs = list(vectors)
     primes = sorted({p for v in vecs for p in v.primes})
-    rows = [[Fraction(v.exponent(p)) for p in primes] for v in vecs]
-    reduced, _ = _rref(rows)
+    reduced, _ = _rref([[v.exponent(p) for p in primes] for v in vecs])
     basis = []
     for row in reduced:
-        scale = 1
-        for c in row:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
-        ints = [int(c * scale) for c in row]
-        g = 0
-        for c in ints:
-            g = _gcd(g, abs(c))
-        ints = [c // g for c in ints]
-        lead = next(c for c in ints if c != 0)
-        if lead < 0:
-            ints = [-c for c in ints]
-        basis.append(ExponentVector(tuple((p, c) for p, c in zip(primes, ints) if c)))
+        if next(c for c in row if c) < 0:
+            row = [-c for c in row]
+        basis.append(ExponentVector(tuple((p, c) for p, c in zip(primes, row) if c)))
     return QSpan(tuple(basis))
 
 
@@ -194,9 +186,11 @@ def nonneg_solve(
     """Exact nonnegative feasibility: rationals m_i >= 0, not all zero, with
     sum(m_i * gen_i) == target; None when no such combination exists.
 
-    For a nonzero target it searches basic solutions over linearly
-    independent generator subsets, for the zero target one-signed extreme
-    rays; both are complete at this scale by conic Caratheodory.
+    For a nonzero target one elimination of [generators | target] settles
+    targets outside the span and independent generators; otherwise it
+    searches basic solutions over independent subsets of at most rank
+    generators.  For the zero target it searches one-signed extreme rays.
+    Both are complete at this scale by conic Caratheodory.
     """
     gens = list(generators)
     if not gens:
@@ -206,11 +200,18 @@ def nonneg_solve(
     primes = sorted({p for v in [target, *gens] for p in v.primes})
     if len(primes) > MAX_PRIMES:
         raise ValueError(f"at most {MAX_PRIMES} distinct primes supported, got {len(primes)}")
-    cols = [[Fraction(g.exponent(p)) for p in primes] for g in gens]
-    t = [Fraction(target.exponent(p)) for p in primes]
+    cols = [[g.exponent(p) for p in primes] for g in gens]
+    t = [target.exponent(p) for p in primes]
     n = len(gens)
     if any(t):
-        for size in range(1, n + 1):
+        reduced, pivots = _rref([[col[j] for col in cols] + [t[j]] for j in range(len(t))])
+        if n in pivots:
+            return None  # the target lies outside the span
+        rank = len(pivots)
+        if rank == n:
+            sol = [Fraction(row[-1], row[c]) for row, c in zip(reduced, pivots)]
+            return sol if all(c >= 0 for c in sol) else None
+        for size in range(1, rank + 1):
             for subset in itertools.combinations(range(n), size):
                 sol = _solve_independent([cols[i] for i in subset], t)
                 if sol is not None and all(c >= 0 for c in sol):
@@ -230,14 +231,20 @@ def nonneg_solve(
     return None
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a zero row stays zero)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (nonzero rows, pivot cols)."""
+def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over int; returns (nonzero
+    rows, pivot cols).
+
+    Each returned row is a primitive integer multiple of the matching row of
+    the rational reduced row echelon form, so row[j] / row[pivot] reads its
+    entries.
+    """
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
@@ -249,12 +256,12 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        mat[r] = _primitive(mat[r])
+        p = mat[r][c]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = _primitive([p * x - f * y for x, y in zip(mat[i], mat[r])])
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -263,7 +270,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def _solve_independent(
-    columns: list[list[Fraction]], t: list[Fraction]
+    columns: list[list[int]], t: list[int]
 ) -> Optional[list[Fraction]]:
     """Solve sum(x_i * col_i) == t when the columns are independent; None if
     they are dependent or the system is inconsistent."""
@@ -276,11 +283,11 @@ def _solve_independent(
         return None  # dependent subset; a smaller one covers this case
     sol = [Fraction(0)] * k
     for row, c in zip(reduced, pivots):
-        sol[c] = row[-1]
+        sol[c] = Fraction(row[-1], row[c])
     return sol
 
 
-def _one_signed_nullray(columns: list[list[Fraction]]) -> Optional[list[Fraction]]:
+def _one_signed_nullray(columns: list[list[int]]) -> Optional[list[Fraction]]:
     """A strictly one-signed null vector of the column system, normalized to
     positive entries with leading coefficient 1; None unless nullity is one."""
     k = len(columns)
@@ -293,7 +300,7 @@ def _one_signed_nullray(columns: list[list[Fraction]]) -> Optional[list[Fraction
     ray = [Fraction(0)] * k
     ray[free] = Fraction(1)
     for row, c in zip(reduced, pivots):
-        ray[c] = -row[free]
+        ray[c] = Fraction(-row[free], row[c])
     if all(x > 0 for x in ray) or all(x < 0 for x in ray):
         lead = ray[0]
         return [x / lead for x in ray]

@@ -19,6 +19,7 @@ import bisect
 import csv
 import io
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,22 +91,29 @@ class PointCloud:
 def read_cloud_csv(source: Union[str, Path]) -> PointCloud:
     """One point per line, comma-separated coordinates.  A single column of
     exact rational tokens ("p/q" or integers) loads as an exact cloud;
-    anything else loads as float64."""
+    anything else loads as float64.  A cell that is not a finite number is
+    a ValueError."""
     text = Path(source).read_text()
     rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
     if not rows:
         raise ValueError("cloud file contains no points")
     cells = [[c.strip() for c in r] for r in rows]
-    if all(len(r) == 1 for r in cells) and all(_RATIONAL_RE.match(r[0]) for r in cells):
-        return PointCloud.from_points([parse_rational(r[0]) for r in cells])
 
     def _tofloat(token: str) -> float:
         try:
-            return float(token)
+            x = float(token)
         except ValueError:
-            return float(Fraction(token))
+            x = float(Fraction(token))
+        if not math.isfinite(x):
+            raise ValueError(f"cloud coordinate {token!r} is not finite")
+        return x
 
-    return PointCloud.from_points([tuple(_tofloat(c) for c in r) for r in cells])
+    try:
+        if all(len(r) == 1 for r in cells) and all(_RATIONAL_RE.match(r[0]) for r in cells):
+            return PointCloud.from_points([parse_rational(r[0]) for r in cells])
+        return PointCloud.from_points([tuple(_tofloat(c) for c in r) for r in cells])
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"cloud file has a coordinate out of range: {exc}") from None
 
 
 def kappa(cloud: PointCloud, delta) -> int:

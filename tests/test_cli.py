@@ -280,6 +280,18 @@ def test_prune_subcommand(capsys, tmp_path):
     assert doc["result"]["separation"] == "hull_disjoint"
 
 
+def test_prune_separated_system_skips_audit(capsys):
+    # four maps: a depth-10 audit cover would need 4**10 compositions, past
+    # the default budget; nothing is removed, so nothing is audited
+    code, doc = run_json(capsys, "prune", ITER2, "--assert-full-measure")
+    assert code == 0
+    assert doc["result"]["removals"] == []
+    assert doc["result"]["kept_edges"] == ["S1", "S2", "S3", "S4"]
+    assert doc["result"]["hausdorff_distance"] == "0"
+    assert doc["result"]["hausdorff_bound"] == "2/3486784401"
+    assert doc["result"]["check_depth"] == 10
+
+
 def test_prune_requires_assertion(capsys):
     code, doc = run_json(capsys, "prune", OVERLAP3)
     assert code == 2
@@ -454,3 +466,58 @@ def test_cli_import_does_not_load_scipy():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+_NUMBERS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.fractions(min_value=-2, max_value=2, max_denominator=9).map(str),
+    st.floats(-2, 2).map(repr),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["1/0", "1e3", "nan", "inf", "-inf", "", " ", "x", "1/3/5", "--1", "1e999"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789./-+eE xn", max_size=5),
+)
+
+
+def _csv(rows):
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+def _rows(cells, min_rows=0):
+    return st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(cells, min_size=d, max_size=d), min_size=min_rows, max_size=6)
+    )
+
+
+# clean clouds of 1 to 4 columns, the same with junk cells, and ragged rows
+# (mixed dimensions); an empty list gives an empty file
+_CSV_TEXT = st.one_of(
+    _rows(_NUMBERS, min_rows=1).map(_csv),
+    _rows(_NUMBERS | _JUNK).map(_csv),
+    st.lists(st.lists(_NUMBERS | _JUNK, max_size=4), max_size=6).map(_csv),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_CSV_TEXT)
+def test_cloud_loader_fuzzed_csv(capsys, tmp_path, text):
+    p = tmp_path / "cloud.csv"
+    p.write_text(text)
+    try:
+        assert isinstance(metgaps.read_cloud_csv(str(p)), metgaps.PointCloud)
+    except ValueError:
+        pass
+    for argv in (
+        ("gaps", "--metric", "--cloud", str(p), "--noise-floor", "1/100"),
+        ("kappa", "--cloud", str(p), "--delta", "1/10"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code in (0, 2)
+        doc = json.loads(out)  # exactly one envelope, nothing after it
+        assert doc["command"] == argv[0]
+        assert "Traceback" not in out

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -123,7 +125,6 @@ def test_factor_is_multiplicative(an, ad, bn, bd):
 
 def det_rank(rows: list[list[Fraction]]) -> int:
     """Oracle: largest k with a k x k submatrix of nonzero determinant."""
-    import itertools
 
     def det(m):
         if len(m) == 1:
@@ -281,3 +282,177 @@ def test_factor_positive_integers(n):
     v = factor(Fraction(n))
     assert compose(v) == n
     assert all(e > 0 for _, e in v.entries)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel: the plain-Fraction elimination and the subset-enumerating
+# nonneg_solve that the integer kernel replaced, kept here as an independent
+# oracle.  Return values must agree exactly, coefficients and bases included.
+
+
+def ref_rref(rows):
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def ref_qrank(vectors):
+    vecs = list(vectors)
+    primes = sorted({p for v in vecs for p in v.primes})
+    rows = [[Fraction(v.exponent(p)) for p in primes] for v in vecs]
+    reduced, _ = ref_rref(rows)
+    basis = []
+    for row in reduced:
+        scale = math.lcm(*(c.denominator for c in row))
+        ints = [int(c * scale) for c in row]
+        g = math.gcd(*ints)
+        ints = [c // g for c in ints]
+        if next(c for c in ints if c) < 0:
+            ints = [-c for c in ints]
+        basis.append(ExponentVector(tuple((p, c) for p, c in zip(primes, ints) if c)))
+    return QSpan(tuple(basis))
+
+
+def ref_solve_independent(columns, t):
+    k = len(columns)
+    rows = [[col[j] for col in columns] + [t[j]] for j in range(len(t))]
+    reduced, pivots = ref_rref(rows)
+    if k in pivots or len(pivots) < k:
+        return None
+    sol = [Fraction(0)] * k
+    for row, c in zip(reduced, pivots):
+        sol[c] = row[-1]
+    return sol
+
+
+def ref_nullray(columns):
+    k = len(columns)
+    rows = [[col[j] for col in columns] for j in range(len(columns[0]))]
+    reduced, pivots = ref_rref(rows)
+    if k - len(pivots) != 1:
+        return None
+    free = next(c for c in range(k) if c not in pivots)
+    ray = [Fraction(0)] * k
+    ray[free] = Fraction(1)
+    for row, c in zip(reduced, pivots):
+        ray[c] = -row[free]
+    if all(x > 0 for x in ray) or all(x < 0 for x in ray):
+        return [x / ray[0] for x in ray]
+    return None
+
+
+def ref_nonneg_solve(target, gens):
+    primes = sorted({p for v in [target, *gens] for p in v.primes})
+    cols = [[Fraction(g.exponent(p)) for p in primes] for g in gens]
+    t = [Fraction(target.exponent(p)) for p in primes]
+    n = len(gens)
+    solve = ref_solve_independent if any(t) else (lambda cs, _t: ref_nullray(cs))
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            sol = solve([cols[i] for i in subset], t)
+            if sol is not None and all(c >= 0 for c in sol):
+                out = [Fraction(0)] * n
+                for i, c in zip(subset, sol):
+                    out[i] = c
+                return out
+    return None
+
+
+# 1 factors to the zero vector; the rest share primes, so random picks give
+# dependent sets, duplicates and independent ones
+_KERNEL_POOL = tuple(
+    Fraction(t)
+    for t in "1 1/2 1/3 2/3 1/4 4/9 1/6 3/8 5/12 14 1/9 91/10 7/5 1/7 25/27".split()
+)
+
+
+def _kernel_cases(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = [rng.choice(_KERNEL_POOL) for _ in range(rng.randint(1, exactnum.MAX_GENERATORS))]
+        kind = rng.randrange(4)
+        if kind == 0:
+            target = Fraction(1)  # the zero target
+        elif kind == 3:
+            target = rng.choice((Fraction(1, 11), Fraction(13, 2), Fraction(22, 3)))
+        else:
+            # inside the span; negative exponents (kind 2) often leave the cone
+            low = 0 if kind == 1 else -2
+            target = Fraction(1)
+            for g in gens:
+                target *= g ** rng.randint(low, 3)
+        yield gens, target
+
+
+def test_kernel_matches_fraction_reference():
+    for gens, target in _kernel_cases(20260818, 500):
+        vecs = [factor(g) for g in gens]
+        tv = factor(target)
+        assert nonneg_solve(tv, vecs) == ref_nonneg_solve(tv, vecs), (gens, target)
+        assert qrank(vecs) == ref_qrank(vecs), gens
+        assert qrank([*vecs, tv]) == ref_qrank([*vecs, tv]), (gens, target)
+
+
+def test_kernel_rational_exponents_match_reference():
+    # square-root-style targets need non-integer coefficients
+    for gens, target in [
+        ([Fraction(1, 4)], Fraction(1, 2)),
+        ([Fraction(4, 9), Fraction(1, 8)], Fraction(1, 3)),
+        ([Fraction(1, 4), Fraction(1, 9), Fraction(1, 6)], Fraction(1, 6)),
+        ([Fraction(1, 27), Fraction(8)], Fraction(2, 3)),
+        ([Fraction(1, 4), Fraction(1), Fraction(1, 4)], Fraction(1, 8)),
+    ]:
+        vecs = [factor(g) for g in gens]
+        tv = factor(target)
+        assert nonneg_solve(tv, vecs) == ref_nonneg_solve(tv, vecs)
+        assert nonneg_solve(tv, vecs) is not None
+
+
+def test_qrank_basis_rows_are_primitive():
+    # 14 = 2*7 and 91/10 = 7*13/(2*5) eliminate to a pivot on 3 alone
+    span = qrank([factor(Fraction(r)) for r in ("1", "14", "1/9", "91/10")])
+    assert span == ref_qrank([factor(Fraction(r)) for r in ("1", "14", "1/9", "91/10")])
+    assert ExponentVector(((3, 1),)) in span.basis
+
+
+def test_nonneg_solve_tries_no_subset_above_rank(monkeypatch):
+    # subsets larger than the rank are dependent, so the search stops there
+    sizes = []
+    original = exactnum._solve_independent
+
+    def spy(columns, t):
+        sizes.append(len(columns))
+        return original(columns, t)
+
+    monkeypatch.setattr(exactnum, "_solve_independent", spy)
+    for gens, target in _kernel_cases(7, 200):
+        vecs = [factor(g) for g in gens]
+        rank = qrank(vecs).dimension
+        sizes.clear()
+        nonneg_solve(factor(target), vecs)
+        assert all(k <= rank for k in sizes), (gens, target)
+    # rank 2 of four generators, target in the span but not the cone: the
+    # search runs every subset of size 1 and 2 and nothing larger
+    vecs = [factor(Fraction(r)) for r in ("1/2", "1/4", "1/3", "1/9")]
+    sizes.clear()
+    assert nonneg_solve(factor(Fraction(3, 2)), vecs) is None
+    assert sorted(sizes) == [1] * 4 + [2] * 6
