@@ -253,6 +253,8 @@ def _mine_ratios(
     theta = Fraction(theta)
     if min_witnesses < 3:
         raise ValueError("min_witnesses below 3 would admit accidental pairs")
+    if verify_depth < 0:
+        raise ValueError("verify_depth must be nonnegative")
     if isinstance(theta_set, GapEnumeration):
         values = set(theta_set.values)
         floor = theta_set.cutoff

@@ -547,48 +547,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception class -> (exit code, claim) of its error envelope; the first
+# matching class wins
+_ERRORS = (
+    (analysis.PruneError, 1, "ssc-pruning"),
+    (model.ResourceError, 3, None),
+    (ValueError, 2, None),
+    (OSError, 2, None),
+    (model.StructuralError, 2, None),
+    (symgaps.UnsupportedInstanceError, 2, None),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     output = getattr(args, "output", None)
     try:
         params, result, claim, code = args.handler(args)
-    except analysis.PruneError as exc:
-        _emit(
-            _envelope(
-                args.command,
-                {},
-                {"error": {"kind": "PruneError", "message": str(exc)}},
-                claim="ssc-pruning",
-            ),
-            output,
-        )
-        return 1
-    except model.ResourceError as exc:
-        _emit(
-            _envelope(
-                args.command,
-                {},
-                {"error": {"kind": "ResourceError", "message": str(exc)}},
-            ),
-            output,
-        )
-        return 3
-    except (
-        ValueError,
-        OSError,
-        model.StructuralError,
-        symgaps.UnsupportedInstanceError,
-    ) as exc:
-        _emit(
-            _envelope(
-                args.command,
-                {},
-                {"error": {"kind": type(exc).__name__, "message": str(exc)}},
-            ),
-            output,
-        )
-        return 2
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        code, claim = next((c, k) for cls, c, k in _ERRORS if isinstance(exc, cls))
+        error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+        _emit(_envelope(args.command, {}, error, claim), output)
+        return code
     if "_csv" in result:
         _emit("\n".join(result["_csv"]) + "\n", output)
     else:

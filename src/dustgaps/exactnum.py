@@ -26,8 +26,12 @@ class FactorError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational string of the form "p/q" or "p"."""
-    return Fraction(str(text).strip())
+    """Parse an exact rational string of the form "p/q" or "p".  Text that
+    is not a rational, a zero denominator included, is a ValueError."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -5,12 +5,13 @@ kappa(delta) counts the classes of the chain relation "linked when distance
 <= delta"; merge_heights computes the distinct heights where kappa jumps as
 the edge-weight set of a minimum spanning tree (the merge height multiset is
 MST-invariant, so profiles are deterministic regardless of tie-breaking).
-Dimension 1 supports exact rational coordinates and sorts; dimensions 2 and
-3 run in float64, with a relative tie tolerance recorded whenever
-nearly-equal heights are grouped.  There kappa uses a kd-tree and the MST
-comes from dense Prim or, above _DENSE_LIMIT points, from the Delaunay
-triangulation.  scipy is imported only by those 2-D/3-D paths, so the 1-D
-and dense code and the CLI start without it.
+Both read the sorted tree weights: kappa(delta) is n minus the number of
+weights <= delta.  Dimension 1 supports exact rational coordinates and
+sorts its spacings; dimensions 2 and 3 run in float64, with a relative tie
+tolerance recorded whenever nearly-equal heights are grouped, and take the
+tree from dense Prim or, above _DENSE_LIMIT points, from the Delaunay
+triangulation.  scipy is imported only by the Delaunay path, so the 1-D and
+dense code and the CLI start without it.
 """
 
 from __future__ import annotations
@@ -23,17 +24,17 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .exactnum import format_rational, parse_rational
-from .model import Cover, ResourceError
+from .model import Cover
 
 TIE_TOLERANCE = 1e-12
 _DENSE_LIMIT = 4096
-_PAIR_BUDGET = 50_000_000
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -56,6 +57,12 @@ class PointCloud:
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def tree_weights(self) -> Sequence:
+        """Sorted spanning-tree weights as merge_heights(method="auto")
+        builds them, computed on first use and kept; kappa reads them."""
+        return _tree_weights(self, "auto")
 
     @classmethod
     def from_points(cls, pts: Iterable, resolution=None) -> "PointCloud":
@@ -120,41 +127,17 @@ def kappa(cloud: PointCloud, delta) -> int:
     """Number of delta-chain classes: components of the graph linking points
     at distance <= delta (closed inequality).
 
-    In dimension 1 consecutive sorted links realize every chain, so the
-    count is one plus the number of sorted gaps exceeding delta; in higher
-    dimensions a kd-tree lists the candidate pairs, the dense MST's distance
-    formula decides each link, and csgraph counts the components.
+    A minimum spanning tree links two points by a chain of steps <= delta
+    exactly when the graph does, so kappa is n minus the number of tree
+    weights <= delta, in every dimension.  The sorted weights are built once
+    per cloud (`PointCloud.tree_weights`); each call is a binary search.
     """
     if cloud.n == 0:
         raise ValueError("point cloud must be nonempty")
-    if cloud.exact:
-        d = Fraction(delta)
-        if d <= 0:
-            raise ValueError("delta must be positive")
-        pts = cloud.points
-        return 1 + sum(1 for a, b in itertools.pairwise(pts) if b - a > d)
-    d = float(delta)
+    d = Fraction(delta) if cloud.exact else float(delta)
     if d <= 0:
         raise ValueError("delta must be positive")
-    if cloud.dim == 1:
-        return 1 + int(np.count_nonzero(np.diff(cloud.points) > d))
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
-
-    n, pts = cloud.n, cloud.points
-    tree = cKDTree(pts)
-    # the tree rounds its distances its own way: query slightly wider, then
-    # keep exactly the pairs that _lengths puts at <= delta
-    radius = d * (1 + 1e-9)
-    if (tree.count_neighbors(tree, radius) - n) // 2 > _PAIR_BUDGET:
-        raise ResourceError("candidate pair count exceeded the pair budget")
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    pairs = pairs[_lengths(pts[pairs[:, 0]] - pts[pairs[:, 1]]) <= d]
-    graph = coo_matrix(
-        (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    return int(connected_components(graph, directed=False)[0])
+    return cloud.n - bisect.bisect_right(cloud.tree_weights, d)
 
 
 def _lengths(diff: np.ndarray) -> np.ndarray:
@@ -213,43 +196,49 @@ def merge_heights(cloud: PointCloud, method: str = "auto") -> KappaProfile:
     n = cloud.n
     if n == 0:
         raise ValueError("point cloud must be nonempty")
-    if cloud.exact:
-        if method == "dense":
-            weights = _mst_dense_exact(cloud.points)
-        else:
-            weights = [b - a for a, b in itertools.pairwise(cloud.points)]
-        pairs = sorted(set(weights))
-        mult = {h: 0 for h in pairs}
-        for w in weights:
-            mult[w] += 1
-        heights = tuple(pairs)
-        counts = []
-        remaining = n
-        for h in heights:
-            remaining -= mult[h]
-            counts.append(remaining)
-        return KappaProfile(n, heights, tuple(counts), True, None)
-    pts = cloud.points
-    if cloud.dim == 1:
-        weights = np.diff(pts) if method != "dense" else _mst_dense_float(pts.reshape(-1, 1))
-    elif method == "dense" or (method == "auto" and n <= _DENSE_LIMIT):
-        weights = _mst_dense_float(pts)
-    else:
-        weights = _mst_delaunay(pts)
-    weights = np.sort(np.asarray(weights, dtype=np.float64))
-    heights: list[float] = []
+    weights = _tree_weights(cloud, method)
+    heights: list = []
     counts: list[int] = []
     remaining = n
     k = 0
     while k < len(weights):
-        j = k
-        while j + 1 < len(weights) and weights[j + 1] - weights[k] <= TIE_TOLERANCE * weights[j + 1]:
-            j += 1
-        heights.append(float(weights[k]))
+        if cloud.exact:
+            j = bisect.bisect_right(weights, weights[k]) - 1
+        else:
+            j = k
+            while j + 1 < len(weights) and weights[j + 1] - weights[k] <= TIE_TOLERANCE * weights[j + 1]:
+                j += 1
+        heights.append(weights[k] if cloud.exact else float(weights[k]))
         remaining -= j - k + 1
         counts.append(remaining)
         k = j + 1
-    return KappaProfile(n, tuple(heights), tuple(counts), False, TIE_TOLERANCE)
+    tie_tolerance = None if cloud.exact else TIE_TOLERANCE
+    return KappaProfile(n, tuple(heights), tuple(counts), cloud.exact, tie_tolerance)
+
+
+def _tree_weights(cloud: PointCloud, method: str) -> Sequence:
+    """Sorted minimum-spanning-tree weights of the cloud.
+
+    "auto" takes the sorted spacings in dimension 1 and otherwise dense Prim
+    up to _DENSE_LIMIT points and the Delaunay MST above; "dense" and
+    "delaunay" force a backend (in dimension 1, "delaunay" sorts).  Exact
+    clouds give a tuple of Fractions, float clouds a read-only array.
+    """
+    pts = cloud.points
+    if cloud.exact:
+        weights = _mst_dense_exact(pts) if method == "dense" else [b - a for a, b in itertools.pairwise(pts)]
+        return tuple(sorted(weights))
+    if method == "dense":
+        weights = _mst_dense_float(pts.reshape(cloud.n, -1))
+    elif cloud.dim == 1:
+        weights = np.diff(pts)
+    elif method == "auto" and cloud.n <= _DENSE_LIMIT:
+        weights = _mst_dense_float(pts)
+    else:
+        weights = _mst_delaunay(pts)
+    weights = np.sort(weights)
+    weights.setflags(write=False)
+    return weights
 
 
 def _mst_dense_exact(points: Sequence[Fraction]) -> list[Fraction]:

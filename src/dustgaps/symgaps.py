@@ -192,12 +192,7 @@ def contains(s: SymbolicGapSet, x) -> bool:
     x = Fraction(x)
     if x <= 0:
         raise ValueError("gap lengths are positive")
-    key = ("contains", x)
-    if key in s._memo:
-        return s._memo[key]
-    result = bool(realization_vertices(s, x))
-    s._memo[key] = result
-    return result
+    return bool(realization_vertices(s, x))
 
 
 def realization_vertices(s: SymbolicGapSet, x) -> tuple[str, ...]:

@@ -161,6 +161,8 @@ def test_ratios_of_guards():
     with pytest.raises(ValueError):
         ratios_of(values, F(1, 2), min_witnesses=2)
     with pytest.raises(ValueError):
+        ratios_of(values, F(1, 2), verify_depth=-1)
+    with pytest.raises(ValueError):
         ratios_of([], F(1, 2))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,25 @@ def test_hull_unknown_root(capsys):
     assert doc["result"]["error"]["kind"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gaps", CANTOR, "--exact", "--cutoff", "1/0"),
+        ("ratios", CANTOR, "--theta", "1/0"),
+        ("kappa", CANTOR, "--delta", "1/0"),
+        ("verify", "--commensurability", "--ratios-a", "1/0", "--ratios-b", "1/2"),
+        ("verify", CANTOR, "--sandwich", "--theta", "1/9", "--floor", "0/0"),
+        ("ratios", CANTOR, "--theta", "1/9", "--verify-depth", "-5"),
+    ],
+    ids=["gaps-cutoff", "ratios-theta", "kappa-delta", "ratios-a", "sandwich-floor", "verify-depth"],
+)
+def test_bad_argument_exits_two(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["command"] == argv[0]
+    assert doc["result"]["error"]["kind"] == "ValueError"
+
+
 def test_budget_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("DUSTGAPS_BUDGET", "many")
     code, doc = run_json(capsys, "gaps", CANTOR, "--exact", "--cutoff", "1/100")
@@ -380,6 +400,7 @@ def test_gaps_metric_collinear_cloud_above_dense_limit(capsys, tmp_path):
         {"ifs": [{"ratio": "1/3", "offset": "0", "sign": True}, {"ratio": "1/3", "offset": "2/3"}]},
         {"ifs": [{"ratio": "1/3", "offset": "0"}, {"ratio": "1/3", "offset": "2/3"}], "name": "x"},
         {"vertices": ["u"], "edges": [], "ifs": []},
+        {"ifs": [{"ratio": "1/0", "offset": "0"}, {"ratio": "1/3", "offset": "2/3"}]},
     ],
 )
 def test_validate_malformed_instance(capsys, tmp_path, document):
@@ -454,18 +475,36 @@ def test_validate_fuzzed_documents(capsys, tmp_path, document):
     assert "Traceback" not in out
 
 
-def test_cli_import_does_not_load_scipy():
-    # every CLI call pays its imports; scipy loads only for 2-D/3-D work
+def _fresh_python(probe: str, *args: str) -> str:
+    """stdout of a new interpreter running probe with this checkout's src."""
     src = str(Path(dustgaps.__file__).resolve().parent.parent)
-    probe = "import sys, dustgaps.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    # every CLI call pays its imports; scipy loads only for the Delaunay MST
+    out = _fresh_python("import sys, dustgaps.cli; print('scipy' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_kappa_up_to_dense_limit_does_not_load_scipy(tmp_path):
+    # kappa reads dense Prim's tree up to the limit; only Delaunay needs scipy
+    rng = random.Random(7)
+    p = tmp_path / "plane.csv"
+    p.write_text("".join(f"{rng.random()!r},{rng.random()!r}\n" for _ in range(metgaps._DENSE_LIMIT)))
+    probe = (
+        "import sys; from dustgaps import cli; "
+        "code = cli.main(['kappa', '--cloud', sys.argv[1], '--delta', '1/50']); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    out = _fresh_python(probe, str(p))
+    assert out.splitlines()[-1] == "0 False"
 
 
 _NUMBERS = st.one_of(
@@ -521,3 +560,76 @@ def test_cloud_loader_fuzzed_csv(capsys, tmp_path, text):
         doc = json.loads(out)  # exactly one envelope, nothing after it
         assert doc["command"] == argv[0]
         assert "Traceback" not in out
+
+
+# argument strings: values that are valid for cantor.json (half the draws,
+# so that the analyses run), edge cases, and short junk (at most five
+# characters, so no exponent is large enough to make an enumeration slow)
+_ARG = st.one_of(
+    st.sampled_from(["1/3", "1/9", "1/27", "1/2", "1/10", "1/100", "1/1000", "1/2,1/4"]),
+    st.sampled_from(
+        ["1/0", "0/0", "0", "-0", "-1/3", "", " ", "2", "1e-3", "0.1", "nan", "inf", "3/", "/3",
+         "x", ",", "1/2,,1/8", "1/4,2/3"]
+    )
+    | st.text(alphabet="0123456789/-+.eE ,x", max_size=5),
+)
+_DEPTH = st.integers(-2, 6).map(str)
+_MINING = st.tuples(st.integers(1, 5), st.integers(-2, 3)).map(
+    lambda t: ("--min-witnesses", str(t[0]), "--verify-depth", str(t[1]))
+)
+
+
+def _fuzzed_argv(cloud: str):
+    # values go in as --option=value so that a leading "-" stays a value
+    return st.one_of(
+        st.tuples(st.just(("gaps", CANTOR, "--exact")), _ARG, st.sampled_from(["json", "csv"])).map(
+            lambda t: (*t[0], f"--cutoff={t[1]}", "--format", t[2])
+        ),
+        st.tuples(st.sampled_from([CANTOR, None]), _ARG, _DEPTH).map(
+            lambda t: ("gaps", "--metric", f"--noise-floor={t[1]}", "--depth", t[2])
+            + ((t[0],) if t[0] else ("--cloud", cloud))
+        ),
+        st.tuples(st.sampled_from([CANTOR, None]), st.lists(_ARG, min_size=1, max_size=3), _DEPTH).map(
+            lambda t: ("kappa", "--depth", t[2], *(f"--delta={d}" for d in t[1]))
+            + ((t[0],) if t[0] else ("--cloud", cloud))
+        ),
+        st.tuples(_ARG, _ARG, _MINING).map(
+            lambda t: ("ratios", CANTOR, f"--theta={t[0]}", f"--cutoff={t[1]}", *t[2])
+        ),
+        st.tuples(st.sampled_from(["algdep", "bound"]), _ARG, _ARG, _MINING).map(
+            lambda t: (t[0], CANTOR, "--from-gaps", f"--theta={t[1]}", f"--cutoff={t[2]}", *t[3])
+        ),
+        st.tuples(_ARG, _ARG, _MINING).map(
+            lambda t: ("verify", CANTOR, "--sandwich", f"--theta={t[0]}", f"--floor={t[1]}", *t[2])
+        ),
+        st.tuples(_ARG, _MINING).map(lambda t: ("verify", CANTOR, "--yzx", f"--floor={t[0]}", *t[1])),
+        st.tuples(_ARG, _ARG).map(
+            lambda t: ("verify", "--commensurability", f"--ratios-a={t[0]}", f"--ratios-b={t[1]}")
+        ),
+        st.tuples(st.sampled_from([CANTOR, OVERLAP3]), _DEPTH).map(
+            lambda t: ("prune", t[0], "--assert-full-measure", "--depth", t[1])
+        ),
+    )
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_subcommand_arguments_fuzzed(capsys, tmp_path, data):
+    cloud = tmp_path / "plane.csv"
+    if not cloud.exists():
+        cloud.write_text("0,0\n0.1,0\n0.5,0.5\n1,1\n0.9,1\n")
+    argv = data.draw(_fuzzed_argv(str(cloud)))
+    code, out = run(capsys, *argv)
+    assert "Traceback" not in out
+    if out.startswith("{"):
+        doc = json.loads(out)  # exactly one envelope, nothing after it
+        assert doc["command"] == argv[0]
+    else:
+        assert code == 0 and out.endswith("\n") and "{" not in out
+    assert code in (0, 1, 2, 3)
+    # exit 1 is a failed verdict, never an error
+    assert code != 1 or argv[0] in ("verify", "prune")

@@ -45,7 +45,7 @@ def test_parse_format_roundtrip_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "one third", "1/3/5", "3//4"):
+    for bad in ("", "one third", "1/3/5", "3//4", "1/0", "0/0", "-5/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

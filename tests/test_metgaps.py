@@ -246,6 +246,30 @@ def test_auto_above_dense_limit_equals_dense():
     dense = metgaps.merge_heights(c, method="dense")
     assert auto.heights == dense.heights
     assert auto.counts == dense.counts
+    # kappa above the limit against a count that builds no tree: at tree
+    # weights (closed inequality), one ulp below them, and between them
+    w = np.asarray(c.tree_weights)
+    ranks = [0, 1000, 2500, 4000, 4400] + list(range(len(w) - 8, len(w)))
+    for r in ranks:
+        between = (w[r] + w[r + 1]) / 2 if r + 1 < len(w) else 2 * w[r]
+        for d in (w[r], np.nextafter(w[r], 0), between):
+            assert metgaps.kappa(c, float(d)) == _kdtree_components(c.points, float(d))
+
+
+def _kdtree_components(pts, d):
+    """Components of the graph linking rows at distance <= d: every pair
+    within d from a kd-tree, measured again, then csgraph."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    n = len(pts)
+    # the kd-tree rounds distances its own way: query a little wider
+    pairs = cKDTree(pts).query_pairs(d * (1 + 1e-9), output_type="ndarray")
+    diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    pairs = pairs[np.sqrt((diff * diff).sum(axis=1)) <= d]
+    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return int(connected_components(graph, directed=False)[0])
 
 
 def test_kappa_lattice_ties():
@@ -314,16 +338,3 @@ def test_kappa_profile_json():
     assert doc["points"] == 3
     assert doc["heights"] == ["1/4"]
     assert doc["counts"] == [1]
-
-
-def test_grid_pair_budget():
-    pts = [tuple(np.random.RandomState(67).rand(2)) for _ in range(5)]
-    c = PointCloud.from_points([(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)])
-    # tiny budget triggers the guard
-    old = metgaps._PAIR_BUDGET
-    try:
-        metgaps._PAIR_BUDGET = 1
-        with pytest.raises(model.ResourceError):
-            metgaps.kappa(PointCloud.from_points([(i * 0.01, 0.0) for i in range(50)]), 1.0)
-    finally:
-        metgaps._PAIR_BUDGET = old
