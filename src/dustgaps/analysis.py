@@ -240,6 +240,15 @@ def ratios_of(
     return _mine_ratios(theta_set, theta, min_witnesses, verify_depth, symbolic, None)
 
 
+def check_mining_args(min_witnesses: int, verify_depth: int) -> None:
+    """Reject the mining arguments of `ratios_of` and its callers on arrival,
+    before a stage that may be skipped or may exhaust a budget."""
+    if min_witnesses < 3:
+        raise ValueError("min_witnesses below 3 would admit accidental pairs")
+    if verify_depth < 0:
+        raise ValueError("verify_depth must be nonnegative")
+
+
 def _mine_ratios(
     theta_set: Union[GapEnumeration, Iterable[Fraction]],
     theta,
@@ -251,10 +260,7 @@ def _mine_ratios(
     """`ratios_of`, taking the certificate pool at the floor from a caller
     that already holds it (None: walk it here when `symbolic` is given)."""
     theta = Fraction(theta)
-    if min_witnesses < 3:
-        raise ValueError("min_witnesses below 3 would admit accidental pairs")
-    if verify_depth < 0:
-        raise ValueError("verify_depth must be nonnegative")
+    check_mining_args(min_witnesses, verify_depth)
     if isinstance(theta_set, GapEnumeration):
         values = set(theta_set.values)
         floor = theta_set.cutoff
@@ -418,6 +424,7 @@ def dependence_from_gaps(
     threshold, the cheapest ladder base.  Returns (threshold, theta,
     report); theta and report are None when no enumerated gap qualifies.
     """
+    check_mining_args(min_witnesses, verify_depth)
     enum = symgaps.enumerate_gaps(s, cutoff, budget=budget)
     threshold = symgaps.natural_delta(s)
     if theta is None:
@@ -520,6 +527,7 @@ def verify_sandwich(
     otherwise the verdict is inconclusive rather than a failure.  `budget`
     caps the values of the gap enumeration at the floor.
     """
+    check_mining_args(min_witnesses, verify_depth)
     theta = Fraction(theta)
     floor = Fraction(floor)
     enum = symgaps.enumerate_gaps(s, floor, budget=budget)
@@ -602,6 +610,7 @@ def verify_intrinsic_dependence(
     number, so the check is an inequality there.  `budget` caps the values
     of the gap enumeration at the floor.
     """
+    check_mining_args(min_witnesses, verify_depth)
     floor = Fraction(floor)
     sep = separation_check(g)
     if sep.verdict != HULL_DISJOINT:
@@ -684,6 +693,8 @@ def prune_to_ssc(
         )
     if not g.one_vertex:
         raise ValueError("pruning is defined for one-vertex systems")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     current = g
     removals: list[Removal] = []
     while True:

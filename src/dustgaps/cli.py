@@ -239,6 +239,7 @@ def _cmd_kappa(args) -> tuple[dict, dict, Optional[str], int]:
 
 
 def _cmd_ratios(args) -> tuple[dict, dict, Optional[str], int]:
+    analysis.check_mining_args(args.min_witnesses, args.verify_depth)
     theta = parse_rational(args.theta)
     cutoff = parse_rational(args.cutoff)
     params = {

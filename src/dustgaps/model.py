@@ -11,12 +11,13 @@ computed in rational arithmetic with no rounding anywhere.
 from __future__ import annotations
 
 import bisect
+import heapq
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exactnum import format_rational, parse_rational
 
@@ -566,41 +567,60 @@ def approximate(
     return Cover(u, depth, intervals, resolution, tuple(pts), point_mode)
 
 
-def product_states(
-    g: GDInstance,
-    start: str,
-    bound: Mapping[str, Fraction],
-    threshold: Fraction,
-    ceiling: int,
-    stage: str,
-) -> Iterator[tuple[str, Fraction]]:
-    """Each state (vertex, path ratio product) reachable from (start, 1),
-    yielded once, depth first.
+class ProductWalk:
+    """States (vertex, path ratio product) reachable from (start, 1), taken
+    best first by the key product * bound[vertex]; callers pass bounds that
+    no edge raises, so keys shrink along every path.
 
-    An edge step to (w, r) is taken only while r * bound[w] >= threshold, so
-    a bound on everything contributed below w prunes whole subtrees.  Equal
-    products at one vertex merge and products only shrink, so the walk is
-    finite; past `ceiling` visited states it raises ResourceError naming
-    `stage`.
+    `reach(t, ...)` takes the states of key >= t reached through such states,
+    resuming where the last call stopped; the start is always taken first.
+    Products are reduced (numerator, denominator) int pairs, so equal
+    products at one vertex merge.  `seen` holds the states taken and the
+    frontier; a zero or missing bound keeps a vertex out.
     """
-    # r * bound[w] >= threshold  <=>  r >= threshold / bound[w]; a zero or
-    # missing bound never qualifies because the threshold is positive
-    steps = {
-        v: [(e.dst, e.sim.ratio, threshold / bound[e.dst]) for e in es if bound.get(e.dst, 0) > 0]
-        for v, es in _out_map(g).items()
-    }
-    stack = [(start, Fraction(1))]
-    visited = set(stack)
-    while stack:
-        v, r = stack.pop()
-        if len(visited) > ceiling:
-            raise ResourceError(f"{stage} exceeded its state budget")
-        yield v, r
-        for w, ratio, least in steps[v]:
-            r2 = r * ratio
-            if r2 >= least and (w, r2) not in visited:
-                visited.add((w, r2))
-                stack.append((w, r2))
+
+    def __init__(self, g: GDInstance, start: str, bound: Mapping[str, Fraction]):
+        # keys are scaled into [0, 1], so that their floats cannot overflow
+        self._top = Fraction(max(bound.values(), default=0) or 1)
+        b = self._bound = {v: Fraction(x) / self._top for v, x in bound.items() if x > 0}
+        self._steps = {
+            v: [(e.dst, *e.sim.ratio.as_integer_ratio(), *b[e.dst].as_integer_ratio())
+                for e in es if e.dst in b]
+            for v, es in _out_map(g).items()
+        }
+        self.seen = {(start, 1, 1)}
+        self._taken = 0
+        self._heap = [(-math.inf, start, 1, 1)]  # (-float key, vertex, numerator, denominator)
+
+    def reach(self, t: Fraction, ceiling: int, stage: str) -> list[tuple[str, int, int]]:
+        """Take and return the states of key >= t not taken yet.  Taking more
+        than `ceiling` states in all raises ResourceError naming `stage`, and
+        the walk stays usable."""
+        t = Fraction(t) / self._top
+        ft = float(min(t, 2))  # no key exceeds 1, so a larger t needs no float
+        heap, seen, out, held = self._heap, self.seen, [], []
+        try:
+            while heap and -heap[0][0] >= ft:
+                item = negkey, v, n, d = heapq.heappop(heap)
+                if -negkey == ft and Fraction(n, d) * self._bound[v] < t:
+                    held.append(item)  # equal floats: the exact key falls short
+                    continue
+                if self._taken >= ceiling:
+                    held.append(item)
+                    raise ResourceError(f"{stage} exceeded its state budget")
+                self._taken += 1
+                out.append((v, n, d))
+                for w, rn, rd, bn, bd in self._steps[v]:
+                    n2, d2 = n * rn, d * rd
+                    k = math.gcd(n2, d2)
+                    state = (w, n2 // k, d2 // k)
+                    if state not in seen:
+                        seen.add(state)
+                        heapq.heappush(heap, (-(state[1] * bn) / (state[2] * bd), *state))
+        finally:
+            for item in held:
+                heapq.heappush(heap, item)
+        return out
 
 
 def path_products(
@@ -619,11 +639,10 @@ def path_products(
     floor = Fraction(floor)
     if floor <= 0:
         raise ValueError("floor must be positive")
-    walk = product_states(
-        g, u, dict.fromkeys(g.vertices, 1), floor, state_budget, "path product enumeration"
-    )
-    next(walk)
-    return {r for w, r in walk if w == v}
+    walk = ProductWalk(g, u, dict.fromkeys(g.vertices, 1))
+    states = walk.reach(floor, state_budget, "path product enumeration")
+    # the start (u, 1) is the empty path; every other product is below 1
+    return {Fraction(n, d) for w, n, d in states if w == v and n < d}
 
 
 def hausdorff_distance(a: Sequence[Interval], b: Sequence[Interval]) -> Fraction:

@@ -6,7 +6,9 @@ consecutive child hulls at some vertex, rescaled by the ratio product of a
 directed path from the root.  Storing the per-vertex spacing sets plus the
 graph therefore represents the entire (infinite) gap length set; truncated
 enumeration, exact membership, and residual splits are pruned searches over
-that representation.  Gap lengths form a set: equal lengths from different
+that representation, all run by `model.ProductWalk`.  Enumeration walks
+afresh per cutoff; membership keeps one walk per gap set and continues it
+to each deeper query.  Gap lengths form a set: equal lengths from different
 gaps collapse.
 """
 
@@ -24,11 +26,11 @@ from .model import (
     ResourceError,
     SeparationReport,
     HULL_DISJOINT,
+    ProductWalk,
     _out_map,
     child_hulls,
     hulls,
     path_products,
-    product_states,
     separation_check,
 )
 
@@ -46,7 +48,8 @@ class SymbolicGapSet:
     level0 maps each reachable vertex to its sorted spacings between
     consecutive child hulls; any gap length of F_root equals a path ratio
     product from the root times one of these spacings.  Treat instances as
-    immutable after build; `_memo` only caches derived results.
+    immutable after build; `_memo` caches derived results and keeps the
+    root's membership walk, which grows as queries go deeper.
     """
 
     graph: GDInstance
@@ -158,9 +161,9 @@ def enumerate_gaps(
 ) -> GapEnumeration:
     """All distinct gap lengths >= cutoff, exactly.
 
-    Walks (vertex, path product) states depth-first, pruning a subtree as
-    soon as the product times the largest spacing visible below it falls
-    under the cutoff; equal products at the same vertex are merged.
+    Walks (vertex, path product) states, pruning a subtree as soon as the
+    product times the largest spacing visible below it falls under the
+    cutoff; equal products at the same vertex are merged.
     """
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
@@ -172,10 +175,10 @@ def enumerate_gaps(
     if key in s._memo:
         return s._memo[key]
     values: set[Fraction] = set()
-    maxvis = _max_visible(s)
-    for v, r in product_states(s.graph, root, maxvis, cutoff, 8 * budget, "gap enumeration"):
+    walk = ProductWalk(s.graph, root, _max_visible(s))
+    for v, n, d in walk.reach(cutoff, 8 * budget, "gap enumeration"):
         for sp in s.level0[v]:
-            val = r * sp
+            val = Fraction(n * sp.numerator, d * sp.denominator)
             if val >= cutoff:
                 values.add(val)
                 if len(values) > budget:
@@ -196,23 +199,25 @@ def contains(s: SymbolicGapSet, x) -> bool:
 
 
 def realization_vertices(s: SymbolicGapSet, x) -> tuple[str, ...]:
-    """Vertices v admitting a root path with x == (path product) * spacing(v).
+    """Vertices v admitting a root path with x == (path product) * spacing(v),
+    sorted by name; empty means x is not a gap length.
 
-    Empty means x is not a gap length.  The full state space above x is
-    finite for the same pruning reason as in enumerate_gaps, and shares its
-    default state ceiling of 8 * DEFAULT_VALUE_BUDGET.
+    Every state on such a path has key >= x, so x is realized at v exactly
+    when (v, x / spacing) is a state of the gap set's one membership walk
+    once it has reached x.  Deeper queries continue that walk.  Its ceiling
+    is enumerate_gaps' default, 8 * DEFAULT_VALUE_BUDGET states at or above x.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("gap lengths are positive")
-    key = ("realize", x)
-    if key in s._memo:
-        return s._memo[key]
-    ceiling = 8 * DEFAULT_VALUE_BUDGET
-    walk = product_states(s.graph, s.root, _max_visible(s), x, ceiling, "gap membership")
-    result = tuple(sorted({v for v, r in walk if any(r * sp == x for sp in s.level0[v])}))
-    s._memo[key] = result
-    return result
+    if "walk" not in s._memo:
+        s._memo["walk"] = ProductWalk(s.graph, s.root, _max_visible(s))
+    walk = s._memo["walk"]
+    walk.reach(x, 8 * DEFAULT_VALUE_BUDGET, "gap membership")
+    return tuple(
+        v for v in sorted(s.reachable)
+        if any((v, *(x / sp).as_integer_ratio()) in walk.seen for sp in s.level0[v])
+    )
 
 
 def residual_split(s: SymbolicGapSet, delta) -> ResidualSplit:

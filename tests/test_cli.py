@@ -343,13 +343,40 @@ def test_hull_unknown_root(capsys):
         ("verify", "--commensurability", "--ratios-a", "1/0", "--ratios-b", "1/2"),
         ("verify", CANTOR, "--sandwich", "--theta", "1/9", "--floor", "0/0"),
         ("ratios", CANTOR, "--theta", "1/9", "--verify-depth", "-5"),
+        # each of these used to pass because the stage that checks it was skipped
+        ("prune", CANTOR, "--assert-full-measure", "--depth", "-2"),
+        ("verify", CANTOR, "--yzx", "--floor", "1/2", "--verify-depth", "-5"),
+        ("verify", CANTOR, "--yzx", "--floor", "1/2", "--min-witnesses", "2"),
+        ("verify", CANTOR, "--sandwich", "--theta", "1/2", "--floor", "1/100", "--verify-depth", "-5"),
+        ("verify", CANTOR, "--sandwich", "--theta", "1/2", "--floor", "1/100", "--min-witnesses", "1"),
     ],
-    ids=["gaps-cutoff", "ratios-theta", "kappa-delta", "ratios-a", "sandwich-floor", "verify-depth"],
+    ids=[
+        "gaps-cutoff",
+        "ratios-theta",
+        "kappa-delta",
+        "ratios-a",
+        "sandwich-floor",
+        "verify-depth",
+        "prune-depth",
+        "yzx-verify-depth",
+        "yzx-min-witnesses",
+        "sandwich-verify-depth",
+        "sandwich-min-witnesses",
+    ],
 )
 def test_bad_argument_exits_two(capsys, argv):
     code, doc = run_json(capsys, *argv)
     assert code == 2
     assert doc["command"] == argv[0]
+    assert doc["result"]["error"]["kind"] == "ValueError"
+
+
+def test_mining_arguments_checked_before_enumeration(capsys, monkeypatch):
+    # an enumeration that would exhaust its budget must not mask the bad argument
+    monkeypatch.setenv("DUSTGAPS_BUDGET", "2")
+    argv = ("ratios", CANTOR, "--theta", "1/9", "--cutoff", "1/10000", "--min-witnesses", "1")
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
     assert doc["result"]["error"]["kind"] == "ValueError"
 
 
@@ -633,3 +660,12 @@ def test_subcommand_arguments_fuzzed(capsys, tmp_path, data):
     assert code in (0, 1, 2, 3)
     # exit 1 is a failed verdict, never an error
     assert code != 1 or argv[0] in ("verify", "prune")
+    # invalid mining and prune arguments are rejected even when the stage
+    # that would use them is skipped
+    opts = dict(zip(argv, argv[1:]))
+    if (
+        int(opts.get("--min-witnesses", 3)) < 3
+        or int(opts.get("--verify-depth", 0)) < 0
+        or (argv[0] == "prune" and int(opts["--depth"]) < 0)
+    ):
+        assert code == 2

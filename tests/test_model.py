@@ -416,6 +416,15 @@ def test_path_products_random(rng):
         assert got == bfs_path_products(g, "u", "u", F(1, 100))
 
 
+def test_path_products_floor_within_float_rounding():
+    # floors a hair above a product round to the same float as it; the
+    # product must still be left out
+    g = model.load_instance(dustgaps.fixture_path("gd2"))
+    for floor in (F(1, 9) + F(1, 10**30), F(1, 4) - F(1, 10**30), F(1, 12) + F(1, 10**40)):
+        for src, dst in (("u", "u"), ("u", "v"), ("v", "u"), ("v", "v")):
+            assert model.path_products(g, src, dst, floor) == bfs_path_products(g, src, dst, floor)
+
+
 def test_hausdorff_examples():
     a = ((F(0), F(1)),)
     b = ((F(0), F(1, 3)), (F(2, 3), F(1)))

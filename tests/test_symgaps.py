@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dustgaps
 from conftest import cover_complement_gaps, random_hull_disjoint
@@ -17,6 +19,9 @@ def ifs(*maps):
 
 CANTOR = ifs(("1/3", 1, "0"), ("1/3", 1, "2/3"))
 MIXED = ifs(("1/2", 1, "0"), ("1/3", 1, "2/3"))
+GD2 = model.load_instance(dustgaps.fixture_path("gd2"))
+# four maps with unrelated ratios, so realizing paths merge rarely
+FOUR = ifs(("3/8", -1, "3/8"), ("1/7", -1, "199/360"), ("1/8", -1, "46/63"), ("1/5", -1, "1"))
 
 
 def build(g, root=None):
@@ -169,6 +174,17 @@ def test_walks_ignore_vertices_unreachable_from_root():
     assert symgaps.realization_vertices(s, F(1, 27)) == ("u",)
 
 
+def test_walks_on_values_beyond_float_range():
+    # cantor stretched by 10**400: every key and query is past the largest
+    # float, and a query a hair off a gap rounds to the same float as it
+    big = 10**400
+    s = build(ifs(("1/3", 1, "0"), ("1/3", 1, str(F(2, 3) * big))))
+    assert symgaps.enumerate_gaps(s, F(big, 100)).values == tuple(F(big, 3**k) for k in range(1, 5))
+    assert symgaps.realization_vertices(s, F(big, 3**7)) == ("u",)
+    assert symgaps.realization_vertices(s, F(big, 3**7) + 1) == ()
+    assert symgaps.enumerate_gaps(s, F(big, 81) + 1).values == (F(big, 3), F(big, 9), F(big, 27))
+
+
 def test_enumeration_budget():
     s = build(MIXED)
     with pytest.raises(model.ResourceError):
@@ -195,6 +211,61 @@ def test_contains_and_realization():
     assert symgaps.contains(sg, F(1, 8))
 
 
+def dfs_product_states(g, start, bound, threshold):
+    """Reference walk: every (vertex, path product) state reachable from
+    (start, 1) through states with product * bound >= threshold, depth
+    first over plain Fractions."""
+    seen = {(start, F(1))}
+    stack = [(start, F(1))]
+    while stack:
+        v, r = stack.pop()
+        for e in g.edges:
+            state = (e.dst, r * e.sim.ratio)
+            if e.src == v and state[1] * bound >= threshold and state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return seen
+
+
+def reference_realization(s, x):
+    # one bound for every vertex, the largest spacing anywhere: it prunes
+    # less than the per-vertex bound, so it misses no realizing path
+    bound = max(sp for sps in s.level0.values() for sp in sps)
+    states = dfs_product_states(s.graph, s.root, bound, x)
+    return tuple(sorted({v for v, r in states if any(r * sp == x for sp in s.level0[v])}))
+
+
+_SYSTEMS = {"cantor": CANTOR, "mixed": MIXED, "gd2": GD2, "four": FOUR}
+_MEMBERS = {
+    name: symgaps.enumerate_gaps(build(g), F(1, 10**4)).values for name, g in _SYSTEMS.items()
+}
+
+
+@st.composite
+def _queries(draw, name):
+    """Members, non-members and ladders x * r**k below the floor, deep and
+    shallow in any order."""
+    g, members = _SYSTEMS[name], _MEMBERS[name]
+    member = st.sampled_from(members)
+    ladder = st.tuples(member, st.sampled_from(g.ratio_set()), st.integers(1, 6)).map(
+        lambda t: t[0] * t[1] ** t[2]
+    )
+    near = st.tuples(member, st.integers(2, 9)).map(lambda t: t[0] * t[1] / (t[1] + 1))
+    other = st.fractions(F(1, 10**7), F(1), max_denominator=10**7)
+    return draw(st.lists(st.one_of(member, ladder, near, other), min_size=1, max_size=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_membership_walk_resumes_like_fresh_walks(data):
+    name = data.draw(st.sampled_from(sorted(_SYSTEMS)))
+    s = build(_SYSTEMS[name])  # reused by every query below
+    for x in data.draw(_queries(name)):
+        got = symgaps.realization_vertices(s, x)
+        assert got == symgaps.realization_vertices(build(_SYSTEMS[name]), x)
+        assert got == reference_realization(s, x)
+
+
 def test_membership_state_ceiling(monkeypatch):
     # the membership walk shares enumerate_gaps' default ceiling of
     # 8 * DEFAULT_VALUE_BUDGET states, read at call time
@@ -210,6 +281,9 @@ def test_membership_state_ceiling(monkeypatch):
     monkeypatch.setattr(symgaps, "DEFAULT_VALUE_BUDGET", 2)
     assert symgaps.realization_vertices(s, deep) == ("u",)
     assert symgaps.contains(s, deep)
+    # the walk resumed after its overrun answers as the reference does
+    for x in (F(1, 3), F(1, 3**10), F(2, 3**11), F(1, 2 * 3**9), F(1, 3**12)):
+        assert symgaps.realization_vertices(s, x) == reference_realization(s, x)
 
 
 def test_residual_split_cantor():
