@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, inf
 from typing import Iterable, Optional, Union
 
 from . import symgaps
@@ -199,14 +200,12 @@ class RatioReport:
 
     def verified_ratios(self) -> tuple[Fraction, ...]:
         """Certified ratios plus empirical ones that passed verification."""
-        out = set(self.certified)
-        out.update(e.ratio for e in self.empirical if e.verified)
-        return tuple(sorted(out, reverse=True))
+        return _descending(
+            [*self.certified, *(e.ratio for e in self.empirical if e.verified)]
+        )
 
     def all_ratios(self) -> tuple[Fraction, ...]:
-        out = set(self.certified)
-        out.update(e.ratio for e in self.empirical)
-        return tuple(sorted(out, reverse=True))
+        return _descending([*self.certified, *(e.ratio for e in self.empirical)])
 
     def to_json(self) -> dict:
         return {
@@ -218,6 +217,21 @@ class RatioReport:
             "empirical": [e.to_json() for e in self.empirical],
             "symbolic_used": self.symbolic_used,
         }
+
+
+def _descending(ratios: Iterable[Fraction]) -> tuple[Fraction, ...]:
+    """The distinct ratios, largest first.  Dedupes on integer pairs and
+    orders by correctly rounded floats, falling back to the exact comparison
+    only on a float tie, so no Fraction is hashed and few are compared."""
+    distinct = {r.as_integer_ratio(): r for r in ratios}
+    return tuple(sorted(distinct.values(), key=_order_key, reverse=True))
+
+
+def _order_key(r: Fraction) -> tuple[float, Fraction]:
+    try:
+        return r.numerator / r.denominator, r
+    except OverflowError:  # beyond the float range, above every float
+        return inf, r
 
 
 def ratios_of(
@@ -258,82 +272,110 @@ def _mine_ratios(
     certified_pool: Optional[tuple[Fraction, ...]],
 ) -> RatioReport:
     """`ratios_of`, taking the certificate pool at the floor from a caller
-    that already holds it (None: walk it here when `symbolic` is given)."""
+    that already holds it (None: walk it here when `symbolic` is given).
+
+    Ladders run over reduced (numerator, denominator) int pairs; Fractions
+    are built only for survivors and for membership queries.  Each ladder
+    stops at its first miss, so neither the queries made nor the reports
+    depend on the order in which candidates are tried.
+    """
     theta = Fraction(theta)
     check_mining_args(min_witnesses, verify_depth)
     if isinstance(theta_set, GapEnumeration):
-        values = set(theta_set.values)
+        values = theta_set.values
         floor = theta_set.cutoff
     else:
         values = {Fraction(v) for v in theta_set}
         if not values:
             raise ValueError("theta set must be nonempty")
         floor = min(values)
-    if theta not in values:
+    if floor <= 0:
+        raise ValueError("gap lengths are positive")
+    present = {(v.numerator, v.denominator) for v in values}
+    tn, td = theta.numerator, theta.denominator
+    if (tn, td) not in present:
         raise ValueError("theta must be a member of the enumerated set")
-    candidates: set[Fraction] = set()
-    for v in values:
-        if v < theta:
-            candidates.add(v / theta)
-        elif v > theta:
-            candidates.add(theta / v)
-    certified_set: frozenset[Fraction] = frozenset()
+    fn, fd = floor.numerator, floor.denominator
+    # v / theta below 1, theta / v above it: the pairwise quotients < 1
+    candidates: set[tuple[int, int]] = set()
+    for vn, vd in present:
+        a, b = vn * td, vd * tn
+        if a != b:
+            g = gcd(a, b)
+            candidates.add((a // g, b // g) if a < b else (b // g, a // g))
+    certified: tuple[Fraction, ...] = ()
+    certified_pairs: set[tuple[int, int]] = set()
     if symbolic is not None:
         if certified_pool is None:
-            certified_pool = _truncated_certificate_pool(symbolic, theta, floor)
-        certified_set = frozenset(certified_pool)
-        candidates.update(certified_set)
-    certified: list[Fraction] = []
+            certified_pool = _truncated_certificate_pool(symbolic, theta, floor)[0]
+        certified = tuple(certified_pool)
+        certified_pairs = {(r.numerator, r.denominator) for r in certified}
+        candidates |= certified_pairs
     empirical: list[EmpiricalRatio] = []
-    for r in sorted(candidates, reverse=True):
-        is_certified = r in certified_set
-        if is_certified:
-            certified.append(r)
-        top = theta
-        while top / r in values:
-            top = top / r
+    for rn, rd in candidates:
+        # theta and every ladder member below it down to the floor
         witnesses = 0
-        cur = top
-        broken = False
-        while cur >= floor:
-            if cur not in values:
-                broken = True
-                break
+        cn, cd = tn, td
+        while cn * fd >= fn * cd and (cn, cd) in present:
             witnesses += 1
-            cur = cur * r
-        if broken or witnesses < min_witnesses:
+            cn, cd = _reduced(cn * rn, cd * rd)
+        if cn * fd >= fn * cd:
+            continue  # a member above the floor is missing
+        # then every present member above theta
+        top = (tn, td)
+        un, ud = _reduced(tn * rd, td * rn)
+        while (un, ud) in present:
+            witnesses += 1
+            top = (un, ud)
+            un, ud = _reduced(un * rd, ud * rn)
+        if witnesses < min_witnesses:
             continue
         verified = False
-        depth_checked = 0
         if symbolic is not None:
-            if is_certified:
-                # the closed-path certificate already guarantees every
-                # deeper member, no point-by-point checks needed
-                verified = True
-                depth_checked = verify_depth
-            else:
-                verified = True
-                term = cur  # first member below the floor
-                for _ in range(verify_depth):
-                    if not symgaps.contains(symbolic, term):
-                        verified = False
-                        break
-                    depth_checked += 1
-                    term = term * r
-                if not verified:
-                    continue  # spurious truncation artifact, drop it
+            # a closed-path certificate already guarantees every deeper
+            # member; otherwise check them from the first one below the
+            # floor, and drop the ratio as a truncation artifact on a miss
+            if (rn, rd) not in certified_pairs and not _ladder_continues(
+                symbolic, cn, cd, rn, rd, verify_depth
+            ):
+                continue
+            verified = True
         empirical.append(
-            EmpiricalRatio(r, top, witnesses, verified, depth_checked)
+            EmpiricalRatio(
+                Fraction(rn, rd),
+                Fraction(*top),
+                witnesses,
+                verified,
+                verify_depth if verified else 0,
+            )
         )
+    empirical.sort(key=lambda e: e.ratio, reverse=True)
     return RatioReport(
         theta,
         floor,
         min_witnesses,
         verify_depth,
-        tuple(certified),
+        certified,
         tuple(empirical),
         symbolic is not None,
     )
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _ladder_continues(
+    s: SymbolicGapSet, n: int, d: int, rn: int, rd: int, depth: int
+) -> bool:
+    """Are n/d and its next depth - 1 multiples by rn/rd all gap lengths?
+    Stops at the first miss."""
+    for _ in range(depth):
+        if not symgaps.contains(s, Fraction(n, d)):
+            return False
+        n, d = _reduced(n * rn, d * rd)
+    return True
 
 
 @dataclass(frozen=True)
@@ -498,13 +540,33 @@ def verify_commensurability(
 
 def _truncated_certificate_pool(
     s: SymbolicGapSet, theta: Fraction, floor: Fraction
-) -> tuple[Fraction, ...]:
+) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
     """Closed-path products >= floor at theta's realization vertices: the
-    ratios whose full ladders through theta provably lie in the gap set."""
-    out: set[Fraction] = set()
-    for v in symgaps.realization_vertices(s, theta):
-        out.update(p for p in symgaps.cycle_products(s, v, floor) if p < 1)
-    return tuple(sorted(out, reverse=True))
+    ratios whose full ladders through theta provably lie in the gap set,
+    sorted descending, and their formatted strings.  The pool depends only
+    on the vertex set and the floor, so the gap set keeps one per pair."""
+    vertices = symgaps.realization_vertices(s, theta)
+    key = ("pool", vertices, floor)
+    if key not in s._memo:
+        out: set[Fraction] = set()
+        for v in vertices:
+            out.update(p for p in symgaps.cycle_products(s, v, floor) if p < 1)
+        pool = _descending(out)
+        s._memo[key] = (pool, tuple(format_rational(r) for r in pool))
+    return s._memo[key]
+
+
+def _upper_check(cone: MonomialCone, decided: dict, r: Fraction) -> dict:
+    """The row `verify_sandwich` reports for r against the rational cone.
+    `decided` keeps the cone's decisions as frozen rows, keyed by r's
+    integer pair; every call returns a fresh dict with fresh lists."""
+    key = r.as_integer_ratio()
+    if key not in decided:
+        row = {"ratio": format_rational(r), **cone_contains_q(cone, r).to_json()}
+        decided[key] = tuple(
+            (k, tuple(v) if isinstance(v, list) else v) for k, v in row.items()
+        )
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in decided[key]}
 
 
 def verify_sandwich(
@@ -525,13 +587,24 @@ def verify_sandwich(
     the nonnegative rational cone of the contraction ratios.  theta must
     sit below the residual threshold for the ladder structure to apply;
     otherwise the verdict is inconclusive rather than a failure.  `budget`
-    caps the values of the gap enumeration at the floor.
+    caps the values of the gap enumeration at the floor.  A supplied
+    `report` must have been mined at this theta and floor.
+
+    A sweep over many thetas of one gap set shares the set's memo: one
+    certificate pool per realization-vertex set and floor, and one cone
+    decision per ratio.
     """
     check_mining_args(min_witnesses, verify_depth)
     theta = Fraction(theta)
     floor = Fraction(floor)
+    if report is not None and (report.theta, report.floor) != (theta, floor):
+        raise ValueError(
+            f"report was mined at theta {format_rational(report.theta)}, floor "
+            f"{format_rational(report.floor)}, not theta "
+            f"{format_rational(theta)}, floor {format_rational(floor)}"
+        )
     enum = symgaps.enumerate_gaps(s, floor, budget=budget)
-    if theta not in set(enum.values):
+    if theta not in enum.values:
         return Verdict(
             "ratio-sandwich",
             INCONCLUSIVE,
@@ -551,24 +624,30 @@ def verify_sandwich(
                 "threshold": format_rational(threshold),
             },
         )
-    lower_pool = _truncated_certificate_pool(s, theta, floor)
+    lower_pool, pool_text = _truncated_certificate_pool(s, theta, floor)
     if report is None:
+        # mined with this pool, so its certified tier is the pool itself
         report = _mine_ratios(enum, theta, min_witnesses, verify_depth, s, lower_pool)
-    certified = set(report.certified)
-    missing = [r for r in lower_pool if r not in certified]
+        missing: list[Fraction] = []
+        certified_text = list(pool_text)
+    else:
+        certified = set(report.certified)
+        missing = [r for r in lower_pool if r not in certified]
+        certified_text = [format_rational(r) for r in report.certified]
     cone = MonomialCone(g.ratio_set())
+    decided = s._memo.setdefault(("cone", cone.generators), {})
     escapes = []
     upper_checks = []
     for r in report.verified_ratios():
-        decision = cone_contains_q(cone, r)
-        upper_checks.append({"ratio": format_rational(r), **decision.to_json()})
-        if decision.status != "yes":
+        row = _upper_check(cone, decided, r)
+        upper_checks.append(row)
+        if row["status"] != "yes":
             escapes.append(r)
     details = {
         "theta": format_rational(theta),
         "floor": format_rational(floor),
-        "lower_pool": [format_rational(r) for r in lower_pool],
-        "certified": [format_rational(r) for r in report.certified],
+        "lower_pool": list(pool_text),
+        "certified": certified_text,
         "upper_checks": upper_checks,
     }
     if missing or escapes:

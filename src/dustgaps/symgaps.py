@@ -49,7 +49,12 @@ class SymbolicGapSet:
     consecutive child hulls; any gap length of F_root equals a path ratio
     product from the root times one of these spacings.  Treat instances as
     immutable after build; `_memo` caches derived results and keeps the
-    root's membership walk, which grows as queries go deeper.
+    root's membership walk, which grows as queries go deeper.  It also
+    keeps what `analysis.verify_sandwich` would otherwise redo for every
+    theta of a sweep: certificate pools with their formatted strings, one
+    per realization-vertex set and floor, and cone decisions, one per cone
+    and ratio.  So each gap set pays for these once, and only while it
+    lives.
     """
 
     graph: GDInstance

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import dustgaps
+from conftest import random_hull_disjoint
 from dustgaps import analysis, model, symgaps
 from dustgaps.analysis import (
     FAIL,
@@ -164,6 +166,133 @@ def test_ratios_of_guards():
         ratios_of(values, F(1, 2), verify_depth=-1)
     with pytest.raises(ValueError):
         ratios_of([], F(1, 2))
+    with pytest.raises(ValueError, match="gap lengths are positive"):
+        ratios_of([F(0), F(1, 2), F(1, 4)], F(1, 2))
+    with pytest.raises(ValueError, match="gap lengths are positive"):
+        ratios_of([F(-1, 8), F(1, 2), F(1, 4), F(1, 8)], F(1, 2))
+
+
+def reference_mine_ratios(theta_set, theta, min_witnesses=4, verify_depth=12, symbolic=None):
+    """The Fraction ladder miner that the integer one replaced, kept as its
+    oracle: every candidate sorted, every ladder step a Fraction."""
+    theta = Fraction(theta)
+    if isinstance(theta_set, symgaps.GapEnumeration):
+        values = set(theta_set.values)
+        floor = theta_set.cutoff
+    else:
+        values = {Fraction(v) for v in theta_set}
+        floor = min(values)
+    assert theta in values
+    candidates = set()
+    for v in values:
+        if v < theta:
+            candidates.add(v / theta)
+        elif v > theta:
+            candidates.add(theta / v)
+    certified_set = frozenset()
+    if symbolic is not None:
+        certified_set = frozenset(
+            p
+            for v in symgaps.realization_vertices(symbolic, theta)
+            for p in symgaps.cycle_products(symbolic, v, floor)
+            if p < 1
+        )
+        candidates.update(certified_set)
+    certified = []
+    empirical = []
+    for r in sorted(candidates, reverse=True):
+        is_certified = r in certified_set
+        if is_certified:
+            certified.append(r)
+        top = theta
+        while top / r in values:
+            top = top / r
+        witnesses = 0
+        cur = top
+        broken = False
+        while cur >= floor:
+            if cur not in values:
+                broken = True
+                break
+            witnesses += 1
+            cur = cur * r
+        if broken or witnesses < min_witnesses:
+            continue
+        verified = False
+        depth_checked = 0
+        if symbolic is not None:
+            if is_certified:
+                verified = True
+                depth_checked = verify_depth
+            else:
+                verified = True
+                term = cur
+                for _ in range(verify_depth):
+                    if not symgaps.contains(symbolic, term):
+                        verified = False
+                        break
+                    depth_checked += 1
+                    term = term * r
+                if not verified:
+                    continue
+        empirical.append(EmpiricalRatio(r, top, witnesses, verified, depth_checked))
+    return RatioReport(
+        theta,
+        floor,
+        min_witnesses,
+        verify_depth,
+        tuple(certified),
+        tuple(empirical),
+        symbolic is not None,
+    )
+
+
+def _oracle_systems():
+    named = [
+        (name, model.load_instance(dustgaps.fixture_path(name)))
+        for name in ("cantor", "mixed", "gd2", "iterate2-cantor")
+    ]
+    rng = random.Random(20260818)
+    return named + [(f"random{i:02d}", random_hull_disjoint(rng)) for i in range(20)]
+
+
+ORACLE_SYSTEMS = _oracle_systems()
+
+
+def _eligible(s, floor):
+    threshold = symgaps.natural_delta(s)
+    return [v for v in symgaps.enumerate_gaps(s, floor).values if v < threshold]
+
+
+@pytest.mark.parametrize("name,g", ORACLE_SYSTEMS, ids=[n for n, _ in ORACLE_SYSTEMS])
+def test_ratios_of_matches_fraction_reference(name, g):
+    checked = 0
+    for floor in (F(1, 1000), F(1, 10**4)):
+        s, s_ref = symgaps.build(g), symgaps.build(g)
+        enum = symgaps.enumerate_gaps(s, floor)
+        enum_ref = symgaps.enumerate_gaps(s_ref, floor)
+        for theta in _eligible(s, floor):
+            got = ratios_of(enum, theta, symbolic=s).to_json()
+            assert got == reference_mine_ratios(enum_ref, theta, symbolic=s_ref).to_json()
+            checked += 1
+    assert checked > 0 or name.startswith("random")
+
+
+@pytest.mark.parametrize("name,g", ORACLE_SYSTEMS[:7], ids=[n for n, _ in ORACLE_SYSTEMS[:7]])
+def test_ratios_of_reference_arguments(name, g):
+    floor = F(1, 1000)
+    s, s_ref = symgaps.build(g), symgaps.build(g)
+    enum = symgaps.enumerate_gaps(s, floor)
+    plain = list(enum.values)
+    for theta in _eligible(s, floor):
+        for mw in (3, 4, 5):
+            for vd in (0, 12):
+                got = ratios_of(enum, theta, mw, vd, symbolic=s).to_json()
+                assert got == reference_mine_ratios(enum, theta, mw, vd, s_ref).to_json()
+            got = ratios_of(plain, theta, mw).to_json()
+            assert got == reference_mine_ratios(plain, theta, mw).to_json()
+            got = ratios_of(iter(plain), theta, mw, symbolic=s).to_json()
+            assert got == reference_mine_ratios(plain, theta, mw, symbolic=s_ref).to_json()
 
 
 def test_ratio_report_json():
@@ -175,6 +304,18 @@ def test_ratio_report_json():
     assert "1/3" in doc["certified"]
     assert doc["symbolic_used"] is True
     assert doc["empirical"][0]["ratio"] == "1/3"
+
+
+def test_ratio_report_orders_exactly_past_float_ties():
+    # the first two differ by about 1e-40 and round to the same float
+    tied = [F(10**20, 10**20 + 1), F(10**20 + 1, 10**20 + 2), F(1, 3)]
+    empirical = tuple(EmpiricalRatio(r, r, 4, True, 12) for r in (tied[1], F(1, 9)))
+    rep = RatioReport(F(1, 9), F(1, 1000), 4, 12, tuple(tied), empirical, True)
+    expected = tuple(sorted(set(tied) | {F(1, 9)}, reverse=True))
+    assert float(tied[0]) == float(tied[1])
+    assert rep.verified_ratios() == rep.all_ratios() == expected
+    huge = RatioReport(F(1, 9), F(1, 1000), 4, 12, (F(10**400), F(1, 3), F(10**401)), (), True)
+    assert huge.verified_ratios() == (F(10**401), F(10**400), F(1, 3))
 
 
 def test_algdep_of_ifs():
@@ -286,6 +427,21 @@ def test_sandwich_fails_on_uncertified_products():
     assert "uncertified ladder products" in v.summary
 
 
+def test_sandwich_rejects_report_at_another_theta():
+    s = symgaps.build(CANTOR)
+    enum = symgaps.enumerate_gaps(s, F(1, 1000))
+    other = ratios_of(enum, F(1, 27), symbolic=s)
+    with pytest.raises(ValueError, match="theta 1/27"):
+        verify_sandwich(CANTOR, s, F(1, 9), F(1, 1000), report=other)
+
+
+def test_sandwich_rejects_report_at_another_floor():
+    s = symgaps.build(CANTOR)
+    shallow = ratios_of(symgaps.enumerate_gaps(s, F(1, 100)), F(1, 9), symbolic=s)
+    with pytest.raises(ValueError, match="floor 1/100"):
+        verify_sandwich(CANTOR, s, F(1, 9), F(1, 1000), report=shallow)
+
+
 def test_sandwich_fails_on_cone_escape():
     s = symgaps.build(CANTOR)
     pool = tuple(F(1, 3**k) for k in range(1, 7))
@@ -296,6 +452,66 @@ def test_sandwich_fails_on_cone_escape():
     assert v.status == FAIL
     assert "escaping the rational cone" in v.summary
     assert "1/2" in v.summary
+
+
+@pytest.mark.parametrize("name,g", ORACLE_SYSTEMS[:8], ids=[n for n, _ in ORACLE_SYSTEMS[:8]])
+def test_sandwich_sweep_on_one_gap_set_matches_fresh_sets(name, g):
+    floor = F(1, 1000)
+    s = symgaps.build(g)
+    for theta in _eligible(s, floor):
+        swept = verify_sandwich(g, s, theta, floor).to_json()
+        assert swept == verify_sandwich(g, symgaps.build(g), theta, floor).to_json()
+
+
+def test_sandwich_sweep_decides_each_ratio_once(monkeypatch):
+    asked = []
+    decide = analysis.cone_contains_q
+
+    def counted(cone, x):
+        asked.append((cone.generators, x))
+        return decide(cone, x)
+
+    monkeypatch.setattr(analysis, "cone_contains_q", counted)
+    floor = F(1, 1000)
+    s = symgaps.build(MIXED)
+    thetas = _eligible(s, floor)
+    for theta in thetas:
+        assert verify_sandwich(MIXED, s, theta, floor).status == PASS
+    assert len(thetas) > 1
+    assert len(asked) == len(set(asked))
+
+
+def test_sandwich_verdicts_share_no_mutable_details():
+    floor = F(1, 1000)
+    s = symgaps.build(CANTOR)
+    first = verify_sandwich(CANTOR, s, F(1, 9), floor)
+    expected = verify_sandwich(CANTOR, symgaps.build(CANTOR), F(1, 9), floor).to_json()
+    first.details["lower_pool"].append("1/2")
+    first.details["certified"].clear()
+    first.details["upper_checks"][0]["status"] = "no"
+    first.details["upper_checks"][0]["coefficients"].append("7")
+    first.details["upper_checks"].pop()
+    assert verify_sandwich(CANTOR, s, F(1, 9), floor).to_json() == expected
+
+
+def test_sandwich_second_cone_on_one_gap_set():
+    floor = F(1, 1000)
+    s = symgaps.build(CANTOR)
+    assert verify_sandwich(CANTOR, s, F(1, 9), floor).status == PASS
+    # the same gap set against other contraction ratios: cone (1/9) holds 1/3
+    # at exponent 1/2, and cone (1/2) holds none of the mined ratios
+    ninths = ifs(("1/9", 1, "0"), ("1/9", 1, "8/9"))
+    v = verify_sandwich(ninths, s, F(1, 9), floor)
+    assert v.status == PASS
+    first = v.details["upper_checks"][0]
+    assert first == {"ratio": "1/3", "status": "yes", "coefficients": ["1/2"]}
+    halves = ifs(("1/2", 1, "0"), ("1/4", 1, "3/4"))
+    v = verify_sandwich(halves, s, F(1, 9), floor)
+    assert v.status == FAIL and "escaping the rational cone" in v.summary
+    assert all(c["status"] == "no" for c in v.details["upper_checks"])
+    for g in (ninths, halves, CANTOR):
+        fresh = verify_sandwich(g, symgaps.build(CANTOR), F(1, 9), floor).to_json()
+        assert verify_sandwich(g, s, F(1, 9), floor).to_json() == fresh
 
 
 def test_intrinsic_dependence_cantor():
