@@ -17,7 +17,6 @@ Modules:
     cli        command-line front end
 """
 
-from importlib import resources
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -27,6 +26,8 @@ _FIXTURES = ("cantor", "mixed", "iterate2-cantor", "overlap3", "gd2")
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled example instance (no .json suffix)."""
+    from importlib import resources
+
     if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; have {', '.join(_FIXTURES)}")
     with resources.as_file(

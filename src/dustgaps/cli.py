@@ -19,10 +19,15 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import __version__, analysis, metgaps, model, symgaps
+from . import __version__, analysis, model, symgaps
 from .exactnum import format_rational, parse_rational
+
+# metgaps (and with it numpy) is imported only by the subcommands that build
+# a point cloud, so the exact subcommands start without it
+if TYPE_CHECKING:
+    from . import metgaps
 
 _BUDGET_ENV = "DUSTGAPS_BUDGET"
 
@@ -53,12 +58,6 @@ def _envelope(command: str, params: dict, result: dict, claim: Optional[str] = N
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    sys.stdout.write(text)
-    if output:
-        Path(output).write_text(text)
-
-
 def _validated(path: str) -> model.GDInstance:
     g = model.load_instance(path)
     finds = model.validate(g)
@@ -77,12 +76,16 @@ def _ratio_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _cloud_from_args(args) -> metgaps.PointCloud:
+    from . import metgaps
+
     if args.cloud is not None:
         return metgaps.read_cloud_csv(args.cloud)
     if args.instance is None:
         raise ValueError("need an instance file or --cloud")
     g = _validated(args.instance)
-    root = args.root or g.vertices[0]
+    root = g.vertices[0] if args.root is None else args.root
+    if root not in g.vertices:
+        raise ValueError(f"unknown root vertex {root!r}")
     cover = model.approximate(
         g,
         root,
@@ -165,6 +168,8 @@ def _cmd_gaps(args) -> tuple[dict, dict, Optional[str], int]:
             return params, {"_csv": enum.csv_lines()}, None, 0
         result = {"separation": sep.verdict, "root": s.root, **enum.to_json()}
         return params, result, None, 0
+    from . import metgaps
+
     if args.noise_floor is None:
         raise ValueError("gaps --metric needs --noise-floor")
     floor = parse_rational(args.noise_floor)
@@ -203,6 +208,8 @@ def _cmd_gaps(args) -> tuple[dict, dict, Optional[str], int]:
 
 
 def _cmd_kappa(args) -> tuple[dict, dict, Optional[str], int]:
+    from . import metgaps
+
     params = {
         "instance": args.instance,
         "cloud": args.cloud,
@@ -432,7 +439,7 @@ def _add_cloud_options(p: argparse.ArgumentParser) -> None:
         choices=("auto", "dense", "delaunay"),
         default="auto",
         help="MST backend for 2-D/3-D clouds: dense Prim, the Delaunay "
-        f"triangulation, or auto (dense up to {metgaps._DENSE_LIMIT} points)",
+        "triangulation, or auto (dense up to 4096 points)",
     )
 
 
@@ -560,21 +567,35 @@ _ERRORS = (
 )
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    output = getattr(args, "output", None)
+def _error_report(command: str, exc: Exception) -> tuple[str, int]:
+    code, claim = next((c, k) for cls, c, k in _ERRORS if isinstance(exc, cls))
+    error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+    return _envelope(command, {}, error, claim), code
+
+
+def _report(args) -> tuple[str, int]:
     try:
         params, result, claim, code = args.handler(args)
     except tuple(cls for cls, _, _ in _ERRORS) as exc:
-        code, claim = next((c, k) for cls, c, k in _ERRORS if isinstance(exc, cls))
-        error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-        _emit(_envelope(args.command, {}, error, claim), output)
-        return code
+        return _error_report(args.command, exc)
     if "_csv" in result:
-        _emit("\n".join(result["_csv"]) + "\n", output)
-    else:
-        _emit(_envelope(args.command, params, result, claim), output)
+        return "\n".join(result["_csv"]) + "\n", code
+    return _envelope(args.command, params, result, claim), code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    text, code = _report(args)
+    output = getattr(args, "output", None)
+    if output:
+        # the file is written before stdout, so a bad path prints its own
+        # error envelope instead of the report, and is not tried again
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            text, code = _error_report(args.command, exc)
+    sys.stdout.write(text)
     return code
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -334,6 +335,51 @@ def test_hull_unknown_root(capsys):
     assert doc["result"]["error"]["kind"] == "ValueError"
 
 
+@pytest.mark.parametrize("root", ["nope", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kappa", GD2, "--depth", "3", "--delta", "1/10"),
+        ("gaps", CANTOR, "--metric", "--noise-floor", "1/100"),
+        ("gaps", CANTOR, "--exact", "--cutoff", "1/100"),
+    ],
+    ids=["kappa", "gaps-metric", "gaps-exact"],
+)
+def test_unknown_root_message_matches_symbolic_path(capsys, argv, root):
+    # only an absent --root means the first vertex, on every path
+    code, doc = run_json(capsys, *argv, f"--root={root}")
+    assert code == 2
+    assert doc["result"]["error"]["message"] == f"unknown root vertex {root!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, where, kind",
+    [
+        (("validate", CANTOR), "missing/report.json", "FileNotFoundError"),
+        (("gaps", CANTOR, "--exact", "--cutoff", "1/100", "--format", "csv"), ".", "IsADirectoryError"),
+        (("validate", "/no/such/file.json"), "missing/report.json", "FileNotFoundError"),
+    ],
+    ids=["json", "csv", "error-envelope"],
+)
+def test_unwritable_output(capsys, tmp_path, monkeypatch, argv, where, kind):
+    bad = str(tmp_path / where)
+    writes = []
+    write_text = Path.write_text
+
+    def counted(self, *args, **kwargs):
+        writes.append(str(self))
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", counted)
+    code, out = run(capsys, *argv, "--output", bad)
+    assert code == 2
+    doc = json.loads(out)  # exactly one envelope: no report before it
+    assert doc["command"] == argv[0]
+    assert doc["result"]["error"]["kind"] == kind
+    assert bad in doc["result"]["error"]["message"]
+    assert writes == [bad]  # the bad path is tried once, not again for the error
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -349,6 +395,9 @@ def test_hull_unknown_root(capsys):
         ("verify", CANTOR, "--yzx", "--floor", "1/2", "--min-witnesses", "2"),
         ("verify", CANTOR, "--sandwich", "--theta", "1/2", "--floor", "1/100", "--verify-depth", "-5"),
         ("verify", CANTOR, "--sandwich", "--theta", "1/2", "--floor", "1/100", "--min-witnesses", "1"),
+        # the cloud subcommands used to end in a KeyError from the cover builder
+        ("kappa", GD2, "--depth", "3", "--root", "nope", "--delta", "1/10"),
+        ("gaps", CANTOR, "--metric", "--noise-floor", "1/100", "--root", "nope"),
     ],
     ids=[
         "gaps-cutoff",
@@ -362,6 +411,8 @@ def test_hull_unknown_root(capsys):
         "yzx-min-witnesses",
         "sandwich-verify-depth",
         "sandwich-min-witnesses",
+        "kappa-root",
+        "gaps-metric-root",
     ],
 )
 def test_bad_argument_exits_two(capsys, argv):
@@ -516,8 +567,49 @@ def _fresh_python(probe: str, *args: str) -> str:
 
 def test_cli_import_does_not_load_scipy():
     # every CLI call pays its imports; scipy loads only for the Delaunay MST
-    out = _fresh_python("import sys, dustgaps.cli; print('scipy' in sys.modules)")
-    assert out.strip() == "False"
+    # and numpy only for the subcommands that build a point cloud
+    out = _fresh_python(
+        "import sys, dustgaps.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
+    )
+    assert out.strip() == "False False"
+
+
+# the exact subcommands of the benchmark's cli workload
+_EXACT_CALLS = [
+    ["validate", GD2],
+    ["hull", GD2],
+    ["ratios", MIXED, "--theta", "1/24"],
+    ["bound", MIXED],
+    ["gaps", MIXED, "--exact", "--cutoff", "1/1000"],
+    ["algdep", GD2, "--from-gaps"],
+    ["verify", MIXED, "--yzx"],
+    ["verify", MIXED, "--sandwich", "--theta", "1/24"],
+    ["verify", CANTOR, "--commensurability", ITER2],
+    ["prune", OVERLAP3, "--assert-full-measure"],
+]
+
+
+def test_exact_subcommands_do_not_load_numpy():
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from dustgaps import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    out = _fresh_python(probe, json.dumps(_EXACT_CALLS))
+    assert out.splitlines()[-1] == f"{[0] * len(_EXACT_CALLS)} False"
+
+
+def test_method_help_names_the_dense_limit():
+    # the help text spells the limit out so that building the parser needs no metgaps
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("gaps", "kappa"):
+        method = next(a for a in sub.choices[name]._actions if "--method" in a.option_strings)
+        assert f"dense up to {metgaps._DENSE_LIMIT} points" in method.help
 
 
 def test_kappa_up_to_dense_limit_does_not_load_scipy(tmp_path):
@@ -601,6 +693,12 @@ _ARG = st.one_of(
     | st.text(alphabet="0123456789/-+.eE ,x", max_size=5),
 )
 _DEPTH = st.integers(-2, 6).map(str)
+# cantor's vertices and names that are none of them
+_CANTOR_VERTICES = model.load_instance(CANTOR).vertices
+_ROOT = st.one_of(
+    st.just(()),
+    st.sampled_from([*_CANTOR_VERTICES, "v", "w", "nope", "u ", ""]).map(lambda r: ("--root", r)),
+)
 _MINING = st.tuples(st.integers(1, 5), st.integers(-2, 3)).map(
     lambda t: ("--min-witnesses", str(t[0]), "--verify-depth", str(t[1]))
 )
@@ -609,27 +707,31 @@ _MINING = st.tuples(st.integers(1, 5), st.integers(-2, 3)).map(
 def _fuzzed_argv(cloud: str):
     # values go in as --option=value so that a leading "-" stays a value
     return st.one_of(
-        st.tuples(st.just(("gaps", CANTOR, "--exact")), _ARG, st.sampled_from(["json", "csv"])).map(
-            lambda t: (*t[0], f"--cutoff={t[1]}", "--format", t[2])
+        st.tuples(st.just(("gaps", CANTOR, "--exact")), _ARG, st.sampled_from(["json", "csv"]), _ROOT).map(
+            lambda t: (*t[0], f"--cutoff={t[1]}", "--format", t[2], *t[3])
         ),
-        st.tuples(st.sampled_from([CANTOR, None]), _ARG, _DEPTH).map(
+        st.tuples(st.sampled_from([CANTOR, None]), _ARG, _DEPTH, _ROOT).map(
             lambda t: ("gaps", "--metric", f"--noise-floor={t[1]}", "--depth", t[2])
-            + ((t[0],) if t[0] else ("--cloud", cloud))
+            + ((t[0], *t[3]) if t[0] else ("--cloud", cloud))
         ),
-        st.tuples(st.sampled_from([CANTOR, None]), st.lists(_ARG, min_size=1, max_size=3), _DEPTH).map(
+        st.tuples(
+            st.sampled_from([CANTOR, None]), st.lists(_ARG, min_size=1, max_size=3), _DEPTH, _ROOT
+        ).map(
             lambda t: ("kappa", "--depth", t[2], *(f"--delta={d}" for d in t[1]))
-            + ((t[0],) if t[0] else ("--cloud", cloud))
+            + ((t[0], *t[3]) if t[0] else ("--cloud", cloud))
         ),
-        st.tuples(_ARG, _ARG, _MINING).map(
-            lambda t: ("ratios", CANTOR, f"--theta={t[0]}", f"--cutoff={t[1]}", *t[2])
+        st.tuples(_ARG, _ARG, _MINING, _ROOT).map(
+            lambda t: ("ratios", CANTOR, f"--theta={t[0]}", f"--cutoff={t[1]}", *t[2], *t[3])
         ),
-        st.tuples(st.sampled_from(["algdep", "bound"]), _ARG, _ARG, _MINING).map(
-            lambda t: (t[0], CANTOR, "--from-gaps", f"--theta={t[1]}", f"--cutoff={t[2]}", *t[3])
+        st.tuples(st.sampled_from(["algdep", "bound"]), _ARG, _ARG, _MINING, _ROOT).map(
+            lambda t: (t[0], CANTOR, "--from-gaps", f"--theta={t[1]}", f"--cutoff={t[2]}", *t[3], *t[4])
         ),
-        st.tuples(_ARG, _ARG, _MINING).map(
-            lambda t: ("verify", CANTOR, "--sandwich", f"--theta={t[0]}", f"--floor={t[1]}", *t[2])
+        st.tuples(_ARG, _ARG, _MINING, _ROOT).map(
+            lambda t: ("verify", CANTOR, "--sandwich", f"--theta={t[0]}", f"--floor={t[1]}", *t[2], *t[3])
         ),
-        st.tuples(_ARG, _MINING).map(lambda t: ("verify", CANTOR, "--yzx", f"--floor={t[0]}", *t[1])),
+        st.tuples(_ARG, _MINING, _ROOT).map(
+            lambda t: ("verify", CANTOR, "--yzx", f"--floor={t[0]}", *t[1], *t[2])
+        ),
         st.tuples(_ARG, _ARG).map(
             lambda t: ("verify", "--commensurability", f"--ratios-a={t[0]}", f"--ratios-b={t[1]}")
         ),
@@ -667,5 +769,6 @@ def test_subcommand_arguments_fuzzed(capsys, tmp_path, data):
         int(opts.get("--min-witnesses", 3)) < 3
         or int(opts.get("--verify-depth", 0)) < 0
         or (argv[0] == "prune" and int(opts["--depth"]) < 0)
+        or opts.get("--root", _CANTOR_VERTICES[0]) not in _CANTOR_VERTICES
     ):
         assert code == 2
