@@ -96,6 +96,16 @@ def _cloud_from_args(args) -> metgaps.PointCloud:
     return metgaps.PointCloud.from_cover(cover)
 
 
+def _in_cloud_arithmetic(cloud: metgaps.PointCloud, value: Fraction, name: str):
+    """value as the cloud compares it: exact, or as a float64."""
+    if cloud.exact:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float cloud") from None
+
+
 def _symbolic(g: model.GDInstance, root: Optional[str]):
     sep = model.separation_check(g)
     return symgaps.build(g, root=root, separation=sep), sep
@@ -185,7 +195,7 @@ def _cmd_gaps(args) -> tuple[dict, dict, Optional[str], int]:
     }
     cloud = _cloud_from_args(args)
     report = metgaps.metric_gaps(
-        cloud, floor if cloud.exact else float(floor), method=args.method
+        cloud, _in_cloud_arithmetic(cloud, floor, "--noise-floor"), method=args.method
     )
     if args.format == "csv":
         lines = [
@@ -224,7 +234,7 @@ def _cmd_kappa(args) -> tuple[dict, dict, Optional[str], int]:
         rows = []
         for text in args.delta:
             d = parse_rational(text)
-            value = metgaps.kappa(cloud, d if cloud.exact else float(d))
+            value = metgaps.kappa(cloud, _in_cloud_arithmetic(cloud, d, "--delta"))
             rows.append({"delta": format_rational(d), "kappa": value})
         if args.format == "csv":
             lines = [f"{r['delta']},{r['kappa']}" for r in rows]

@@ -46,7 +46,8 @@ class PointCloud:
     Exact clouds (dimension 1 only) store sorted Fractions; float clouds
     store a float64 array, sorted in dimension 1 and row-deduplicated
     otherwise.  `resolution` records the sampling error bound when the cloud
-    came from an attractor cover.
+    came from an attractor cover.  `from_points` rejects a float cloud whose
+    distances could overflow float64 (`_finite_spread`).
     """
 
     dim: int
@@ -74,7 +75,7 @@ class PointCloud:
             if all(isinstance(x, (Fraction, int)) for x in rows):
                 return cls(1, True, tuple(sorted({Fraction(x) for x in rows})), resolution)
             arr = np.unique(np.asarray(rows, dtype=np.float64))
-            return cls(1, False, arr, resolution)
+            return cls(1, False, _finite_spread(arr), resolution)
         dim = len(rows[0])
         if dim not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2, or 3, got {dim}")
@@ -83,7 +84,7 @@ class PointCloud:
         if dim == 1:
             return cls.from_points([r[0] for r in rows], resolution)
         arr = np.unique(np.asarray(rows, dtype=np.float64), axis=0)
-        return cls(dim, False, arr, resolution)
+        return cls(dim, False, _finite_spread(arr), resolution)
 
     @classmethod
     def from_cover(cls, cover: Cover) -> "PointCloud":
@@ -93,6 +94,23 @@ class PointCloud:
         if self.exact:
             return np.asarray([float(x) for x in self.points], dtype=np.float64)
         return self.points
+
+
+def _finite_spread(arr: np.ndarray) -> np.ndarray:
+    """arr itself, once the diagonal of its bounding box measures finite.
+    No distance between two rows exceeds that diagonal (rounding is
+    monotone), so every backend then measures every edge without overflow;
+    past it, squared differences would overflow to inf, or inf - inf to nan,
+    and the report would be wrong."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = np.ptp(arr.reshape(len(arr), -1), axis=0)
+        diagonal = _lengths(extent[None, :])[0]
+    if not np.isfinite(diagonal):
+        raise ValueError(
+            "point cloud spans too far: its distances overflow float64 "
+            "(or a coordinate is not finite)"
+        )
+    return arr
 
 
 def read_cloud_csv(source: Union[str, Path]) -> PointCloud:
@@ -189,7 +207,8 @@ def merge_heights(cloud: PointCloud, method: str = "auto") -> KappaProfile:
     O(n^2) reference; "delaunay" forces the Delaunay MST.  Both float
     backends measure edges with the same formula, so they yield bit-equal
     heights; floating-point heights closer than the relative tie tolerance
-    are grouped and reported once.
+    are grouped and reported once (`_tie_groups`).  The tree is built on
+    every call.
     """
     if method not in ("auto", "dense", "delaunay"):
         raise ValueError(f"unknown method {method!r}")
@@ -197,23 +216,63 @@ def merge_heights(cloud: PointCloud, method: str = "auto") -> KappaProfile:
     if n == 0:
         raise ValueError("point cloud must be nonempty")
     weights = _tree_weights(cloud, method)
+    if not cloud.exact:
+        starts, ends = _tie_groups(weights)
+        heights = tuple(weights[starts].tolist())
+        counts = tuple((n - ends).tolist())
+        return KappaProfile(n, heights, counts, False, TIE_TOLERANCE)
     heights: list = []
     counts: list[int] = []
     remaining = n
     k = 0
     while k < len(weights):
-        if cloud.exact:
-            j = bisect.bisect_right(weights, weights[k]) - 1
-        else:
-            j = k
-            while j + 1 < len(weights) and weights[j + 1] - weights[k] <= TIE_TOLERANCE * weights[j + 1]:
-                j += 1
-        heights.append(weights[k] if cloud.exact else float(weights[k]))
+        j = bisect.bisect_right(weights, weights[k]) - 1
+        heights.append(weights[k])
         remaining -= j - k + 1
         counts.append(remaining)
         k = j + 1
-    tie_tolerance = None if cloud.exact else TIE_TOLERANCE
-    return KappaProfile(n, tuple(heights), tuple(counts), cloud.exact, tie_tolerance)
+    return KappaProfile(n, tuple(heights), tuple(counts), True, None)
+
+
+def _tie_groups(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) indices of the tie groups of the sorted
+    float weights w.
+
+    A group opens at its anchor w[k] and takes each next weight w[j] while
+    w[j] - w[k] <= TIE_TOLERANCE * w[j].  Float subtraction is monotone, so
+    a break between adjacent weights is a break from any anchor before it:
+    the adjacent breaks, found in one vector operation, split w into runs
+    that no group crosses.  A run all of whose members pass the test from
+    its first weight is one group.  Only runs that drift past the tolerance
+    without an adjacent break are split further, anchor by anchor.
+    """
+    m = len(w)
+    if m == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    starts = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] > TIE_TOLERANCE * w[1:]) + 1))
+    ends = np.append(starts[1:], m)
+    drift = w - np.repeat(w[starts], ends - starts) > TIE_TOLERANCE * w
+    if not drift.any():
+        return starts, ends
+    split = []
+    for run in np.unique(np.searchsorted(starts, np.flatnonzero(drift), side="right") - 1).tolist():
+        k, end = int(starts[run]), int(ends[run])
+        # the window after the anchor doubles until it holds a break or
+        # reaches the run's end, so each group costs in proportion to its size
+        size = 16
+        while k + 1 < end:
+            tail = w[k + 1 : min(k + 1 + size, end)]
+            brk = np.flatnonzero(tail - w[k] > TIE_TOLERANCE * tail)
+            if len(brk):
+                k += 1 + int(brk[0])
+                split.append(k)
+                size = 16
+            elif k + 1 + size < end:
+                size *= 2
+            else:
+                break
+    starts = np.union1d(starts, split)
+    return starts, np.append(starts[1:], m)
 
 
 def _tree_weights(cloud: PointCloud, method: str) -> Sequence:
@@ -268,20 +327,47 @@ def _mst_dense_exact(points: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _mst_dense_float(pts: np.ndarray) -> np.ndarray:
-    """Vectorized Prim over all pairs; the unaccelerated float reference."""
-    n = len(pts)
-    if n == 1:
-        return np.empty(0, dtype=np.float64)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    dist = _lengths(pts - pts[0])
-    dist[0] = np.inf
+    """Vectorized Prim over all pairs; the unaccelerated float reference.
+
+    The points not yet in the tree stay packed at the front of contiguous
+    coordinate columns: the point that joins is swapped with the last one,
+    and every step works in place on preallocated buffers.  In dimensions 2
+    and 3 the steps compare squared lengths, summed (dx^2 + dy^2) + dz^2 as
+    in `_lengths`, and take sqrt once of the n - 1 chosen values; in
+    dimension 1 they keep |dx|, whose square would underflow to 0 below
+    spacings of about 1e-154.  The weights are bit-equal to those of
+    measuring each tree edge with `_lengths`: sqrt is monotone, so a tree of
+    least squared lengths is a minimum spanning tree, and every minimum
+    spanning tree has the same multiset of weights, whatever order Prim
+    takes the points in.
+    """
+    n, dim = pts.shape
     weights = np.empty(n - 1, dtype=np.float64)
+    cols = [pts[1:, a].copy() for a in range(dim)]
+    dist = np.full(n - 1, np.inf)
+    step = np.empty(n - 1, dtype=np.float64)
+    spare = np.empty(n - 1, dtype=np.float64)
+    joined = pts[0]
     for t in range(n - 1):
-        k = int(np.argmin(np.where(in_tree, np.inf, dist)))
+        m = n - 1 - t
+        out, tmp = step[:m], spare[:m]
+        np.subtract(cols[0][:m], joined[0], out=out)
+        if dim == 1:
+            np.abs(out, out=out)
+        else:
+            np.multiply(out, out, out=out)
+            for col, x in zip(cols[1:], joined[1:]):
+                np.subtract(col[:m], x, out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                np.add(out, tmp, out=out)
+        np.minimum(dist[:m], out, out=dist[:m])
+        k = int(np.argmin(dist[:m]))
         weights[t] = dist[k]
-        in_tree[k] = True
-        dist = np.minimum(dist, _lengths(pts - pts[k]))
+        joined = [col[k] for col in cols]
+        for col in (*cols, dist):
+            col[k] = col[m - 1]
+    if dim > 1:
+        np.sqrt(weights, out=weights)
     return weights
 
 

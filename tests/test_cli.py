@@ -155,6 +155,32 @@ def test_kappa_profile(capsys, tmp_path):
     assert doc["result"]["counts"] == [2, 1]
 
 
+@pytest.mark.parametrize(
+    "rows", ["1e160,0\n-1e160,0\n0,1\n", "1e308\n-1e308\n"], ids=["plane", "line"]
+)
+def test_cloud_whose_distances_overflow_exits_two(capsys, tmp_path, rows):
+    p = tmp_path / "wide.csv"
+    p.write_text(rows)
+    for argv in (("kappa", "--cloud", str(p)), ("gaps", "--metric", "--cloud", str(p), "--noise-floor", "1")):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert "Infinity" not in out
+        doc = json.loads(out)
+        assert doc["result"]["error"]["kind"] == "ValueError"
+        assert "overflow" in doc["result"]["error"]["message"]
+
+
+def test_cloud_just_inside_the_float_range(capsys, tmp_path):
+    for rows, height in (("6e153,0\n-6e153,0\n0,1\n", 6e153), ("8e307\n-8e307\n", 1.6e308)):
+        p = tmp_path / "wide.csv"
+        p.write_text(rows)
+        code, out = run(capsys, "kappa", "--cloud", str(p))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"]["counts"] == [1]
+        assert doc["result"]["heights"] == [pytest.approx(height, rel=1e-15)]
+
+
 def test_ratios_subcommand(capsys):
     code, doc = run_json(capsys, "ratios", CANTOR, "--theta", "1/9")
     assert code == 0
@@ -420,6 +446,19 @@ def test_bad_argument_exits_two(capsys, argv):
     assert code == 2
     assert doc["command"] == argv[0]
     assert doc["result"]["error"]["kind"] == "ValueError"
+
+
+def test_value_past_float_range_on_float_cloud_exits_two(capsys, tmp_path):
+    p = tmp_path / "plane.csv"
+    p.write_text("0,0\n0.1,0\n0.5,0.5\n")
+    for argv, name in (
+        (("kappa", "--cloud", str(p), "--delta=1E400"), "--delta"),
+        (("gaps", "--metric", "--cloud", str(p), "--noise-floor=1E400"), "--noise-floor"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["result"]["error"] == {"kind": "ValueError", "message": f"{name} is too large for a float cloud"}
 
 
 def test_mining_arguments_checked_before_enumeration(capsys, monkeypatch):

@@ -42,6 +42,17 @@ def test_from_cover_keeps_exactness_and_resolution():
     assert c.resolution == F(1, 81)
 
 
+def test_float_cloud_distances_must_be_finite():
+    for pts in ([1e308, -1e308], [(1e160, 0.0), (-1e160, 0.0), (0.0, 1.0)],
+                [(1e154, 0.0, 0.0), (0.0, 1e154, 0.0), (0.0, 0.0, 0.0)], [0.0, float("nan")]):
+        with pytest.raises(ValueError, match="overflow"):
+            PointCloud.from_points(pts)
+    # just inside: the bounding-box diagonal still measures finite
+    for pts in ([8e307, -8e307], [(6e153, 0.0), (-6e153, 0.0), (0.0, 1.0)]):
+        c = PointCloud.from_points(pts)
+        assert np.all(np.isfinite(c.tree_weights)) and c.tree_weights[-1] > 1e153
+
+
 def test_read_cloud_csv(tmp_path):
     p = tmp_path / "exact.csv"
     p.write_text("1/3\n0\n2/3\n")
@@ -161,9 +172,50 @@ def test_mst_dense_matches_kruskal_oracle():
     got = list(prof.heights)
     expected = sorted(set(weights))
     assert len(got) <= len(expected)
-    k = 0
     for h in got:
         assert any(abs(h - w) <= 1e-9 * max(1.0, w) for w in expected)
+
+
+def _kruskal_weights(pts):
+    """Sorted MST weights from Kruskal over every pair, each pair measured
+    by metgaps._lengths."""
+    from conftest import PlainUnionFind
+
+    n = len(pts)
+    ii, jj = np.triu_indices(n, k=1)
+    w = metgaps._lengths(pts[ii] - pts[jj])
+    uf = PlainUnionFind(n)
+    weights = []
+    for e in np.argsort(w, kind="stable").tolist():
+        a, b = int(ii[e]), int(jj[e])
+        if uf.find(a) != uf.find(b):
+            uf.union(a, b)
+            weights.append(w[e])
+    return np.asarray(weights, dtype=np.float64)
+
+
+KRUSKAL_CLOUDS = {
+    "random_1d": lambda: np.random.default_rng(103).random(90),
+    "random_2d": lambda: np.random.default_rng(107).random((120, 2)),
+    "random_3d": lambda: np.random.default_rng(109).random((120, 3)),
+    "lattice_2d": lambda: DEGENERATE_CLOUDS["lattice_70x70"]()[::37],
+    "lattice_3d": lambda: np.stack(
+        np.meshgrid(*[np.arange(5) * 0.1] * 3), axis=-1
+    ).reshape(-1, 3),
+    "zero_length_edge": lambda: DEGENERATE_CLOUDS["zero_length_edge"](),
+    # |dx| in 1-D: the squares of these spacings underflow to 0
+    "tiny_spacing_1d": lambda: np.array([0.0, 1e-200, 3e-200, 0.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRUSKAL_CLOUDS))
+def test_mst_dense_bit_equal_to_kruskal(name):
+    c = PointCloud.from_points(KRUSKAL_CLOUDS[name]())
+    before = c.points.copy()
+    dense = np.asarray(metgaps._tree_weights(c, "dense"))
+    assert np.array_equal(c.points, before)
+    expected = _kruskal_weights(c.points.reshape(c.n, -1))
+    assert dense.tobytes() == expected.tobytes()
 
 
 def test_delaunay_equals_dense_random_clouds():
@@ -288,6 +340,72 @@ def test_float_tie_grouping():
     prof = metgaps.merge_heights(c)
     assert len(prof.heights) == 1
     assert prof.kappa_at(prof.heights[0]) == 1
+
+
+def _scalar_tie_groups(weights, n):
+    """Heights and counts from the anchored tie rule, one weight at a time:
+    a group takes each next weight w[j] while
+    w[j] - w[anchor] <= TIE_TOLERANCE * w[j]."""
+    heights, counts = [], []
+    remaining = n
+    k = 0
+    while k < len(weights):
+        j = k
+        while j + 1 < len(weights) and weights[j + 1] - weights[k] <= metgaps.TIE_TOLERANCE * weights[j + 1]:
+            j += 1
+        heights.append(float(weights[k]))
+        remaining -= j - k + 1
+        counts.append(remaining)
+        k = j + 1
+    return tuple(heights), tuple(counts)
+
+
+def _cantor_points(depth):
+    pts = np.zeros(1)
+    for _ in range(depth):
+        pts = np.concatenate([pts / 3, 2 / 3 + pts / 3])
+    return pts
+
+
+def _weight_arrays():
+    rng = np.random.default_rng(113)
+    yield "empty", np.empty(0)
+    yield "one", np.array([0.25])
+    yield "duplicates", np.array([0.5] * 5 + [1.0] * 3 + [2.0])
+    yield "zeros", np.array([0.0, 0.0, 0.0, 1e-300, 1e-300, 1.0])
+    # adjacent steps stay inside the tolerance while the run drifts past it
+    yield "drift", 1 + np.arange(50) * 0.6e-12
+    yield "long_drift", 1 + np.arange(3000) * 1e-15
+    yield "drift_then_gap", np.concatenate([1 + np.arange(40) * 0.3e-12, [2.0, 2.0], 3 + np.arange(30) * 0.9e-12])
+    for size in (2, 17, 400):
+        yield f"uniform_{size}", np.sort(rng.random(size))
+        levels = rng.integers(1, 6, size) * 0.1
+        jitter = 1 + rng.integers(-3, 4, size) * rng.choice([1e-16, 4e-13, 2e-12], size)
+        yield f"near_ties_{size}", np.sort(levels * jitter)
+
+
+@pytest.mark.parametrize("name, weights", list(_weight_arrays()), ids=lambda v: v if isinstance(v, str) else "")
+def test_tie_grouping_matches_scalar_rule(name, weights, monkeypatch):
+    n = len(weights) + 1
+    cloud = PointCloud(1, False, np.arange(float(n)))
+    monkeypatch.setattr(metgaps, "_tree_weights", lambda c, method: weights)
+    prof = metgaps.merge_heights(cloud)
+    assert (prof.heights, prof.counts) == _scalar_tie_groups(weights, n)
+    assert all(type(h) is float for h in prof.heights)
+    assert all(type(k) is int for k in prof.counts)
+    if "drift" in name:
+        # the anchored split ran: more than one group, fewer than weights
+        assert 1 < len(prof.heights) < len(weights)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tie_grouping_matches_scalar_rule_on_clouds(dim):
+    clouds = [_cantor_points(12)] if dim == 1 else []
+    clouds.append(np.random.default_rng(127 + dim).random((300, dim)))
+    for pts in clouds:
+        c = PointCloud.from_points(pts)
+        prof = metgaps.merge_heights(c)
+        assert (prof.heights, prof.counts) == _scalar_tie_groups(np.asarray(c.tree_weights), c.n)
 
 
 def test_merge_heights_dim1_float_identical_to_dense():
