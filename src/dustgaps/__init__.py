@@ -11,7 +11,7 @@ heights.
 Modules:
     exactnum   rational parsing, prime-exponent vectors, Q-rank, cone solve
     model      instances, exact hulls, separation certificates, covers
-    symgaps    symbolic gap sets, enumeration, residual splits
+    symgaps    symbolic gap sets, enumeration, membership, cycle products
     metgaps    point clouds, kappa profiles, merge heights, metric gaps
     analysis   ratio mining, dependence numbers, verification verdicts
     cli        command-line front end

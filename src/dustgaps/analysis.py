@@ -7,7 +7,8 @@ independence numbers) either from the instance's contraction ratios or
 intrinsically from gap data alone, checks commensurability between candidate
 generating ratio sets, derives lower bounds on generating-system
 cardinality, and prunes redundant maps from one-vertex systems whose
-children overlap by containment.
+children overlap by containment, each removal proved by an exact
+composition certificate.
 
 Ratio candidates live in two tiers.  Certified ratios come with an exact
 closed-path certificate (theta is realized at a vertex carrying a closed
@@ -26,15 +27,7 @@ from typing import Iterable, Optional, Union
 
 from . import symgaps
 from .exactnum import ExponentVector, QSpan, factor, format_rational, nonneg_solve, qrank
-from .model import (
-    GDInstance,
-    HULL_DISJOINT,
-    SSC_CERTIFIED,
-    cover_intervals,
-    hausdorff_distance,
-    hulls,
-    separation_check,
-)
+from .model import GDInstance, HULL_DISJOINT, SSC_CERTIFIED, hulls, separation_check
 from .symgaps import GapEnumeration, SymbolicGapSet
 
 PASS = "pass"
@@ -43,7 +36,6 @@ INCONCLUSIVE = "inconclusive"
 
 DEFAULT_MIN_WITNESSES = 4
 DEFAULT_VERIFY_DEPTH = 12
-_Z_BUDGET = 200_000
 
 
 class PruneError(RuntimeError):
@@ -53,9 +45,9 @@ class PruneError(RuntimeError):
 @dataclass(frozen=True)
 class MonomialCone:
     """Finite set of positive rational generators, considered through the
-    monoid (integer exponents) and cone (nonnegative rational exponents)
-    they generate multiplicatively.  `vectors` holds the generators'
-    prime-exponent vectors, factored once here."""
+    cone (nonnegative rational exponents) they generate multiplicatively.
+    `vectors` holds the generators' prime-exponent vectors, factored once
+    here."""
 
     generators: tuple[Fraction, ...]
     vectors: tuple[ExponentVector, ...] = field(init=False, repr=False, compare=False)
@@ -72,81 +64,14 @@ class MonomialCone:
 
 @dataclass(frozen=True)
 class ConeDecision:
-    status: str  # "yes" | "no" | "unknown"
-    exponents: Optional[tuple[int, ...]] = None
+    status: str  # "yes" | "no"
     coefficients: Optional[tuple[Fraction, ...]] = None
 
     def to_json(self) -> dict:
         out: dict = {"status": self.status}
-        if self.exponents is not None:
-            out["exponents"] = list(self.exponents)
         if self.coefficients is not None:
             out["coefficients"] = [format_rational(c) for c in self.coefficients]
         return out
-
-
-def cone_contains_z(cone: MonomialCone, x, budget: int = _Z_BUDGET) -> ConeDecision:
-    """Is x a product of generators with nonnegative integer exponents
-    (empty product allowed, so x == 1 is always a member)?
-
-    Definitive both ways when all generators sit on one side of 1 (the
-    search space is then finite); with mixed generators an exhausted budget
-    returns "unknown" rather than guessing.
-    """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
-    gens = [g for g in cone.generators if g != 1]
-    if x == 1:
-        return ConeDecision("yes", exponents=tuple(0 for _ in cone.generators))
-    if not gens:
-        return ConeDecision("no")
-    below = all(g < 1 for g in gens)
-    above = all(g > 1 for g in gens)
-    complete = below or above
-
-    def overshoot(value: Fraction) -> bool:
-        return value < x if below else (value > x if above else False)
-
-    exps = [0] * len(gens)
-    nodes = 0
-
-    def search(i: int, value: Fraction) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExhausted()
-        if value == x and any(exps):
-            return tuple(exps)
-        if i == len(gens):
-            return None
-        m = 0
-        cur = value
-        while not overshoot(cur) and m <= budget:
-            exps[i] = m
-            found = search(i + 1, cur)
-            if found is not None:
-                return found
-            m += 1
-            cur = cur * gens[i]
-        exps[i] = 0
-        return None
-
-    try:
-        found = search(0, Fraction(1))
-    except _BudgetExhausted:
-        return ConeDecision("unknown")
-    if found is not None:
-        witness = []
-        it = iter(found)
-        for g in cone.generators:
-            witness.append(next(it) if g != 1 else 0)
-        return ConeDecision("yes", exponents=tuple(witness))
-    return ConeDecision("no") if complete else ConeDecision("unknown")
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def cone_contains_q(cone: MonomialCone, x) -> ConeDecision:
@@ -759,12 +684,16 @@ def prune_to_ssc(
 ) -> PruneResult:
     """Drop maps whose children nest inside siblings until separation holds.
 
-    Under the full-measure hypothesis an overlapping pair of children must
-    nest, so each removal keeps the attractor identical; removals carry the
-    exact composition word as an audit certificate, and the surviving
-    system's depth-`depth` cover is compared against the original within the
-    rigorous Hausdorff bound 2 * max_ratio**depth * diameter.  The caller
-    must assert the hypothesis explicitly; without it pruning is refused.
+    Under the full-measure hypothesis, which the caller must assert, an
+    overlapping pair of children must nest; each removal carries the word w
+    of its certificate S_inner = S_outer . S_w.  The depth-d covers of the
+    original and pruned systems are then equal, so `hausdorff_distance` is 0
+    by proof: w never contains the inner map, as its ratio r_inner / r_outer
+    exceeds r_inner; substituting the words, for later removals too, turns
+    every original depth-d word into a longer word over the kept maps; and
+    since S_e(hull) lies in the unchanged hull, that word's cylinder lies in
+    the cylinder of its depth-d prefix.  `hausdorff_bound` is the tolerance
+    2 * max_ratio**depth * diameter of a depth-d cover.
     """
     if not full_measure_asserted:
         raise ValueError(
@@ -795,19 +724,5 @@ def prune_to_ssc(
             raise PruneError("pruning would leave fewer than two maps")
         current = current.without_edge(w.inner)
         removals.append(Removal(w.inner, outer, w.word))
-    root = g.vertices[0]
-    bound = 2 * g.max_ratio**depth * hulls(g).diameter(root)
-    if not removals:
-        # nothing removed: the system is its own audit, at distance 0
-        return PruneResult(current, (), sep.verdict, Fraction(0), bound, depth)
-    cover_orig = cover_intervals(g, root, depth)
-    cover_pruned = cover_intervals(current, root, depth)
-    dist = hausdorff_distance(cover_orig, cover_pruned)
-    if dist > bound:
-        raise PruneError(
-            "pruned attractor deviates beyond the cover tolerance; the "
-            "full-measure hypothesis does not hold for this instance"
-        )
-    return PruneResult(
-        current, tuple(removals), sep.verdict, dist, bound, depth
-    )
+    bound = 2 * g.max_ratio**depth * hulls(g).diameter(g.vertices[0])
+    return PruneResult(current, tuple(removals), sep.verdict, Fraction(0), bound, depth)

@@ -75,6 +75,19 @@ def _ratio_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
+def _cloud_source(args) -> dict:
+    """The echoed source of a metric run, each parameter meaning what ran: a
+    CSV cloud takes no input that only samples an instance, and --depth and
+    --points default to 12 and midpoint."""
+    source = dict(instance=args.instance, root=args.root, depth=args.depth, points=args.points)
+    given = [k if k == "instance" else f"--{k}" for k, v in source.items() if v is not None]
+    if args.cloud is not None and given:
+        raise ValueError(f"--cloud takes no {', '.join(given)}: they only sample an instance file")
+    args.depth = 12 if args.depth is None else args.depth
+    args.points = args.points or "midpoint"
+    return {**source, "cloud": args.cloud, "depth": args.depth, "points": args.points}
+
+
 def _cloud_from_args(args) -> metgaps.PointCloud:
     from . import metgaps
 
@@ -184,13 +197,9 @@ def _cmd_gaps(args) -> tuple[dict, dict, Optional[str], int]:
         raise ValueError("gaps --metric needs --noise-floor")
     floor = parse_rational(args.noise_floor)
     params = {
-        "instance": args.instance,
         "mode": "metric",
         "noise_floor": format_rational(floor),
-        "cloud": args.cloud,
-        "depth": args.depth,
-        "points": args.points,
-        "root": args.root,
+        **_cloud_source(args),
         "method": args.method,
     }
     cloud = _cloud_from_args(args)
@@ -221,11 +230,7 @@ def _cmd_kappa(args) -> tuple[dict, dict, Optional[str], int]:
     from . import metgaps
 
     params = {
-        "instance": args.instance,
-        "cloud": args.cloud,
-        "depth": args.depth,
-        "points": args.points,
-        "root": args.root,
+        **_cloud_source(args),
         "delta": list(args.delta) if args.delta else None,
         "method": args.method,
     }
@@ -442,8 +447,8 @@ def _cmd_prune(args) -> tuple[dict, dict, Optional[str], int]:
 
 def _add_cloud_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cloud", help="CSV point cloud (one point per line)")
-    p.add_argument("--depth", type=int, default=12, help="cover depth when sampling an instance")
-    p.add_argument("--points", choices=("midpoint", "endpoints"), default="midpoint")
+    p.add_argument("--depth", type=int, help="cover depth when sampling an instance (default 12)")
+    p.add_argument("--points", choices=("midpoint", "endpoints"), help="default midpoint")
     p.add_argument(
         "--method",
         choices=("auto", "dense", "delaunay"),

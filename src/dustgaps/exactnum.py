@@ -1,11 +1,11 @@
 """Exact arithmetic kernel for multiplicative-structure questions.
 
 Positive rationals are encoded as signed prime-exponent vectors, which turns
-multiplicative problems (rank of a ratio set over Q, membership in a span,
-nonnegative-combination feasibility) into exact linear algebra over the
-rationals.  Elimination runs fraction-free over integer exponents; plain
-`fractions.Fraction` is the scalar type of every returned value, and values
-serialize as exact strings such as "3/4" or "2".
+multiplicative problems (rank of a ratio set over Q, nonnegative-combination
+feasibility) into exact linear algebra over the rationals.  Elimination runs
+fraction-free over integer exponents; plain `fractions.Fraction` is the
+scalar type of every returned value, and values serialize as exact strings
+such as "3/4" or "2".
 """
 
 from __future__ import annotations
@@ -170,18 +170,6 @@ def qrank(vectors: Iterable[ExponentVector]) -> QSpan:
             row = [-c for c in row]
         basis.append(ExponentVector(tuple((p, c) for p, c in zip(primes, row) if c)))
     return QSpan(tuple(basis))
-
-
-def in_span(vector: ExponentVector, span: QSpan) -> bool:
-    """Whether the vector is a Q-linear combination of the span's basis."""
-    residual = {p: Fraction(e) for p, e in vector.entries}
-    for b in span.basis:
-        pivot = b.entries[0][0]
-        coeff = residual.get(pivot, Fraction(0)) / b.exponent(pivot)
-        if coeff:
-            for p, e in b.entries:
-                residual[p] = residual.get(p, Fraction(0)) - coeff * e
-    return not any(residual.values())
 
 
 def nonneg_solve(

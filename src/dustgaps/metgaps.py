@@ -90,11 +90,6 @@ class PointCloud:
     def from_cover(cls, cover: Cover) -> "PointCloud":
         return cls.from_points(cover.points, resolution=cover.resolution)
 
-    def as_floats(self) -> np.ndarray:
-        if self.exact:
-            return np.asarray([float(x) for x in self.points], dtype=np.float64)
-        return self.points
-
 
 def _finite_spread(arr: np.ndarray) -> np.ndarray:
     """arr itself, once the diagonal of its bounding box measures finite.
@@ -204,7 +199,8 @@ def merge_heights(cloud: PointCloud, method: str = "auto") -> KappaProfile:
 
     Methods: "auto" sorts in dimension 1 and otherwise runs dense Prim up to
     _DENSE_LIMIT points and the Delaunay MST above it; "dense" forces the
-    O(n^2) reference; "delaunay" forces the Delaunay MST.  Both float
+    O(n^2) reference; "delaunay" forces the Delaunay MST.  Every method
+    sorts the spacings of an exact cloud, its MST weights.  Both float
     backends measure edges with the same formula, so they yield bit-equal
     heights; floating-point heights closer than the relative tie tolerance
     are grouped and reported once (`_tie_groups`).  The tree is built on
@@ -280,13 +276,13 @@ def _tree_weights(cloud: PointCloud, method: str) -> Sequence:
 
     "auto" takes the sorted spacings in dimension 1 and otherwise dense Prim
     up to _DENSE_LIMIT points and the Delaunay MST above; "dense" and
-    "delaunay" force a backend (in dimension 1, "delaunay" sorts).  Exact
-    clouds give a tuple of Fractions, float clouds a read-only array.
+    "delaunay" force a backend (every method sorts an exact cloud, and
+    "delaunay" a 1-D one).  Exact clouds give a tuple of Fractions, float
+    clouds a read-only array.
     """
     pts = cloud.points
     if cloud.exact:
-        weights = _mst_dense_exact(pts) if method == "dense" else [b - a for a, b in itertools.pairwise(pts)]
-        return tuple(sorted(weights))
+        return tuple(sorted(b - a for a, b in itertools.pairwise(pts)))
     if method == "dense":
         weights = _mst_dense_float(pts.reshape(cloud.n, -1))
     elif cloud.dim == 1:
@@ -297,32 +293,6 @@ def _tree_weights(cloud: PointCloud, method: str) -> Sequence:
         weights = _mst_delaunay(pts)
     weights = np.sort(weights)
     weights.setflags(write=False)
-    return weights
-
-
-def _mst_dense_exact(points: Sequence[Fraction]) -> list[Fraction]:
-    """Prim over all pairs with exact arithmetic; dimension-1 reference."""
-    n = len(points)
-    if n == 1:
-        return []
-    in_tree = [False] * n
-    dist: list[Optional[Fraction]] = [None] * n
-    in_tree[0] = True
-    for i in range(1, n):
-        dist[i] = abs(points[i] - points[0])
-    weights: list[Fraction] = []
-    for _ in range(n - 1):
-        k = min(
-            (i for i in range(n) if not in_tree[i]),
-            key=lambda i: dist[i],
-        )
-        weights.append(dist[k])
-        in_tree[k] = True
-        for i in range(n):
-            if not in_tree[i]:
-                d = abs(points[i] - points[k])
-                if d < dist[i]:
-                    dist[i] = d
     return weights
 
 
@@ -396,14 +366,17 @@ def _candidate_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Qhull rejects flat input, so the Delaunay triangulation is taken in the
     affine hull of the points (its rank from an SVD of the centred points),
-    down to a sort in dimension 1.  Tiny inputs take all pairs.
+    down to a sort in dimension 1.  Tiny inputs take all pairs.  Shifting by
+    the minimum first keeps the mean finite near the float limit; the mean,
+    unlike the bounding box's middle, lies in the affine hull.
     """
     from scipy.spatial import Delaunay
 
     n, dim = pts.shape
     if n <= dim + 1:
         return np.triu_indices(n, k=1)
-    centred = pts - pts.mean(axis=0)
+    shifted = pts - pts.min(axis=0)
+    centred = shifted - shifted.mean(axis=0)
     _, s, vt = np.linalg.svd(centred, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * n * np.finfo(np.float64).eps))
     if rank < dim:

@@ -83,9 +83,6 @@ class Similarity1D:
     def affine(self) -> AffineMap:
         return AffineMap(self.sign * self.ratio, self.offset)
 
-    def apply(self, x: Fraction) -> Fraction:
-        return self.affine()(x)
-
     def image(self, lo: Fraction, hi: Fraction) -> Interval:
         return self.affine().image(lo, hi)
 
@@ -512,8 +509,8 @@ def cover_intervals(
 ) -> tuple[Interval, ...]:
     """Depth-k exact interval cover of F_u (no separation requirement).
 
-    Useful for audits of instances that fail separation; overlapping path
-    images are merged, so the result is always a disjoint union.  The images
+    Instances that fail separation are fine: overlapping path images are
+    merged, so the result is always a disjoint union.  The images
     are those of the hull of F_u under every distinct length-k edge-path
     composition from u, built over integer numerators at the common scale
     s0*D**k*H described in `_cover`; the endpoints are exact Fractions.

@@ -5,8 +5,8 @@ attractor decompose recursively: every gap length is a spacing between
 consecutive child hulls at some vertex, rescaled by the ratio product of a
 directed path from the root.  Storing the per-vertex spacing sets plus the
 graph therefore represents the entire (infinite) gap length set; truncated
-enumeration, exact membership, and residual splits are pruned searches over
-that representation, all run by `model.ProductWalk`.  Enumeration walks
+enumeration and exact membership are pruned searches over that
+representation, both run by `model.ProductWalk`.  Enumeration walks
 afresh per cutoff; membership keeps one walk per gap set and continues it
 to each deeper query.  Gap lengths form a set: equal lengths from different
 gaps collapse.
@@ -82,16 +82,6 @@ class GapEnumeration:
         return [format_rational(v) for v in self.values]
 
 
-@dataclass(frozen=True)
-class ResidualSplit:
-    """Gap lengths at or above delta (gamma) plus, per vertex, the rescaled
-    sub-delta generators contributed by single edge steps (tails)."""
-
-    delta: Fraction
-    gamma: tuple[Fraction, ...]
-    tails: dict[str, tuple[Fraction, ...]]
-
-
 def build(
     g: GDInstance,
     root: Optional[str] = None,
@@ -162,7 +152,6 @@ def enumerate_gaps(
     s: SymbolicGapSet,
     cutoff,
     budget: int = DEFAULT_VALUE_BUDGET,
-    root: Optional[str] = None,
 ) -> GapEnumeration:
     """All distinct gap lengths >= cutoff, exactly.
 
@@ -173,14 +162,11 @@ def enumerate_gaps(
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    root = root if root is not None else s.root
-    if root not in s.reachable:
-        raise ValueError(f"vertex {root!r} is not reachable from the build root")
-    key = ("enum", root, cutoff)
+    key = ("enum", cutoff)
     if key in s._memo:
         return s._memo[key]
     values: set[Fraction] = set()
-    walk = ProductWalk(s.graph, root, _max_visible(s))
+    walk = ProductWalk(s.graph, s.root, _max_visible(s))
     for v, n, d in walk.reach(cutoff, 8 * budget, "gap enumeration"):
         for sp in s.level0[v]:
             val = Fraction(n * sp.numerator, d * sp.denominator)
@@ -223,34 +209,6 @@ def realization_vertices(s: SymbolicGapSet, x) -> tuple[str, ...]:
         v for v in sorted(s.reachable)
         if any((v, *(x / sp).as_integer_ratio()) in walk.seen for sp in s.level0[v])
     )
-
-
-def residual_split(s: SymbolicGapSet, delta) -> ResidualSplit:
-    """Split the gap set at delta: gamma holds every gap >= delta of the
-    root; tails[v] holds, per vertex, the sub-delta values obtained from one
-    edge step into the >= delta part at the target vertex.
-
-    Taken together, gamma plus the path-rescaled tails regenerate the whole
-    gap set, which the recursive-identity tests exercise.
-    """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    gamma = enumerate_gaps(s, delta).values
-    out = _out_map(s.graph)
-    per_vertex: dict[str, tuple[Fraction, ...]] = {
-        v: enumerate_gaps(s, delta, root=v).values for v in s.reachable
-    }
-    tails: dict[str, tuple[Fraction, ...]] = {}
-    for v in s.reachable:
-        vals: set[Fraction] = set()
-        for e in out[v]:
-            for gval in per_vertex[e.dst]:
-                scaled = e.sim.ratio * gval
-                if scaled < delta:
-                    vals.add(scaled)
-        tails[v] = tuple(sorted(vals, reverse=True))
-    return ResidualSplit(delta, gamma, tails)
 
 
 def cycle_products(s: SymbolicGapSet, v: str, floor) -> frozenset[Fraction]:

@@ -181,6 +181,49 @@ def test_cloud_just_inside_the_float_range(capsys, tmp_path):
         assert doc["result"]["heights"] == [pytest.approx(height, rel=1e-15)]
 
 
+_INSTANCE_ONLY = {
+    "instance file": (CANTOR,),
+    "root": ("--root", "u"),
+    "depth": ("--depth", "12"),
+    "points": ("--points", "midpoint"),
+}
+
+
+@pytest.mark.parametrize("given", sorted(_INSTANCE_ONLY))
+def test_cloud_rejects_instance_only_inputs(capsys, tmp_path, given):
+    # even the default value, given explicitly, is an input the cloud ignores
+    p = tmp_path / "cloud.csv"
+    p.write_text("0\n1/10\n1/2\n")
+    extra = _INSTANCE_ONLY[given]
+    for argv in (
+        ("kappa", "--cloud", str(p), "--delta", "1/10", *extra),
+        ("gaps", "--metric", "--cloud", str(p), "--noise-floor", "1/100", *extra),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        doc = json.loads(out)  # exactly one envelope, nothing after it
+        assert doc["result"]["error"]["kind"] == "ValueError"
+        assert "--cloud" in doc["result"]["error"]["message"]
+
+
+def test_cloud_run_echoes_cover_defaults(capsys, tmp_path):
+    p = tmp_path / "cloud.csv"
+    p.write_text("0\n1/10\n1/2\n")
+    for argv in (
+        ("kappa", "--cloud", str(p)),
+        ("gaps", "--metric", "--cloud", str(p), "--noise-floor", "1/100"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        params = doc["parameters"]
+        assert (params["depth"], params["points"], params["root"]) == (12, "midpoint", None)
+    # an instance run still takes them
+    code, doc = run_json(capsys, "kappa", CANTOR, "--depth", "3", "--points", "endpoints", "--root", "u")
+    assert code == 0
+    assert (doc["parameters"]["depth"], doc["parameters"]["points"]) == (3, "endpoints")
+    assert doc["result"]["points"] == 16
+
+
 def test_ratios_subcommand(capsys):
     code, doc = run_json(capsys, "ratios", CANTOR, "--theta", "1/9")
     assert code == 0
@@ -309,8 +352,8 @@ def test_prune_subcommand(capsys, tmp_path):
 
 
 def test_prune_separated_system_skips_audit(capsys):
-    # four maps: a depth-10 audit cover would need 4**10 compositions, past
-    # the default budget; nothing is removed, so nothing is audited
+    # four maps: a depth-10 cover would need 4**10 compositions, past the
+    # default budget; pruning builds no cover, so it still exits 0
     code, doc = run_json(capsys, "prune", ITER2, "--assert-full-measure")
     assert code == 0
     assert doc["result"]["removals"] == []
@@ -750,14 +793,14 @@ def _fuzzed_argv(cloud: str):
             lambda t: (*t[0], f"--cutoff={t[1]}", "--format", t[2], *t[3])
         ),
         st.tuples(st.sampled_from([CANTOR, None]), _ARG, _DEPTH, _ROOT).map(
-            lambda t: ("gaps", "--metric", f"--noise-floor={t[1]}", "--depth", t[2])
-            + ((t[0], *t[3]) if t[0] else ("--cloud", cloud))
+            lambda t: ("gaps", "--metric", f"--noise-floor={t[1]}")
+            + ((t[0], "--depth", t[2], *t[3]) if t[0] else ("--cloud", cloud))
         ),
         st.tuples(
             st.sampled_from([CANTOR, None]), st.lists(_ARG, min_size=1, max_size=3), _DEPTH, _ROOT
         ).map(
-            lambda t: ("kappa", "--depth", t[2], *(f"--delta={d}" for d in t[1]))
-            + ((t[0], *t[3]) if t[0] else ("--cloud", cloud))
+            lambda t: ("kappa", *(f"--delta={d}" for d in t[1]))
+            + ((t[0], "--depth", t[2], *t[3]) if t[0] else ("--cloud", cloud))
         ),
         st.tuples(_ARG, _ARG, _MINING, _ROOT).map(
             lambda t: ("ratios", CANTOR, f"--theta={t[0]}", f"--cutoff={t[1]}", *t[2], *t[3])

@@ -15,7 +15,6 @@ from dustgaps.exactnum import (
     compose,
     factor,
     format_rational,
-    in_span,
     nonneg_solve,
     parse_rational,
     qrank,
@@ -183,15 +182,6 @@ def test_qrank_matches_determinant_oracle():
         ]
         rows = [[Fraction(v.exponent(p)) for p in primes] for v in vecs]
         assert qrank(vecs).dimension == det_rank(rows)
-
-
-def test_in_span():
-    span = qrank([factor(Fraction(1, 2)), factor(Fraction(1, 3))])
-    assert in_span(factor(Fraction(1, 6)), span)
-    assert in_span(factor(Fraction(9, 8)), span)
-    assert not in_span(factor(Fraction(1, 5)), span)
-    assert in_span(ExponentVector(), span)
-    assert not in_span(factor(Fraction(1, 2)), QSpan())
 
 
 def test_nonneg_solve_examples():

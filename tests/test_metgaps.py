@@ -115,6 +115,33 @@ def test_merge_heights_exact_dim1():
     assert prof.n_points == 4
 
 
+def _exact_clouds():
+    # the depth-4 Cantor cover's midpoints, whose spacings tie, and seeded
+    # random rationals on a coarse grid, so that spacings repeat
+    cover = model.approximate(model.load_instance(dustgaps.fixture_path("cantor")), "u", 4)
+    yield PointCloud.from_cover(cover)
+    rng = random.Random(67)
+    for n in (2, 9, 60):
+        yield PointCloud.from_points([F(rng.randint(0, 40), 12) for _ in range(n)])
+
+
+def test_merge_heights_dense_equals_auto_on_exact_clouds():
+    for c in _exact_clouds():
+        assert c.exact
+        auto = metgaps.merge_heights(c)
+        dense = metgaps.merge_heights(c, method="dense")
+        assert dense.heights == auto.heights
+        assert dense.counts == auto.counts
+        assert all(type(h) is Fraction for h in dense.heights)
+        # tied spacings are one height each
+        assert len(dense.heights) < c.n - 1 or c.n == 2
+        # each step of the profile against all-pairs union-find
+        pts = list(c.points)
+        assert brute_components(pts, dense.heights[0] / 2) == c.n
+        for h, k in zip(dense.heights, dense.counts):
+            assert brute_components(pts, h) == k
+
+
 def test_merge_heights_single_point():
     prof = metgaps.merge_heights(PointCloud.from_points([F(1, 2)]))
     assert prof.heights == () and prof.n_points == 1
@@ -285,6 +312,42 @@ def test_delaunay_equals_dense_degenerate_clouds(name):
     fast = metgaps.merge_heights(c, method="delaunay")
     assert dense.heights == fast.heights
     assert dense.counts == fast.counts
+
+
+def _plane_cloud(n, seed):
+    # points of x + y + z = 1: flat, and the plane misses the origin
+    xy = np.random.default_rng(seed).random((n, 2))
+    return np.column_stack([xy, 1 - xy.sum(axis=1)])
+
+
+OFF_ORIGIN_CLOUDS = {
+    # the sum behind a plain mean of these coordinates overflows
+    "limit_2d": lambda: np.array([[1.5e308, 0.1], [1.5e308, 0.5], [1.5e308, 0.9], [1.5e308, 0.2]]),
+    "limit_3d": lambda: np.column_stack(
+        [np.full(50, 1.5e308), np.random.default_rng(131).random((50, 2))]
+    ),
+    "plane_3d": lambda: _plane_cloud(200, 137),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_ORIGIN_CLOUDS))
+def test_delaunay_equals_dense_off_origin_clouds(name):
+    c = PointCloud.from_points(OFF_ORIGIN_CLOUDS[name]())
+    dense = metgaps.merge_heights(c, method="dense")
+    fast = metgaps.merge_heights(c, method="delaunay")
+    assert dense.heights == fast.heights
+    assert dense.counts == fast.counts
+    if name == "limit_2d":
+        assert fast.heights == pytest.approx((0.1, 0.3, 0.4))
+
+
+def test_flat_cloud_off_origin_keeps_its_rank():
+    # the Delaunay path projects a flat cloud into its affine hull; a centre
+    # off that hull would count one rank too many and triangulate in 3-D
+    pts = _plane_cloud(200, 139)
+    ii, jj = metgaps._candidate_edges(pts)
+    edges = np.unique(np.minimum(ii, jj) * len(pts) + np.maximum(ii, jj))
+    assert len(edges) <= 3 * len(pts) - 6  # a planar triangulation's bound
 
 
 def test_auto_above_dense_limit_equals_dense():

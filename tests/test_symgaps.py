@@ -120,7 +120,7 @@ def test_enumerate_matches_cover_complement_fixtures():
         (model.load_instance(dustgaps.fixture_path("gd2")), "v", F(1, 40)),
     ):
         s = build(g, root=root)
-        got = list(symgaps.enumerate_gaps(s, cutoff, root=root).values)
+        got = list(symgaps.enumerate_gaps(s, cutoff).values)
         assert got == cover_complement_gaps(g, root, cutoff)
 
 
@@ -145,12 +145,12 @@ def test_recursive_identity_gd2():
     g = model.load_instance(dustgaps.fixture_path("gd2"))
     s = build(g, root="u")
     cutoff = F(1, 50)
-    direct = set(symgaps.enumerate_gaps(s, cutoff, root="u").values)
+    direct = set(symgaps.enumerate_gaps(s, cutoff).values)
     rebuilt = {v for v in s.level0["u"] if v >= cutoff}
     for e in g.edges:
         if e.src != "u":
             continue
-        child = symgaps.enumerate_gaps(s, cutoff / e.sim.ratio, root=e.dst).values
+        child = symgaps.enumerate_gaps(build(g, root=e.dst), cutoff / e.sim.ratio).values
         rebuilt.update(e.sim.ratio * x for x in child)
     assert direct == rebuilt
 
@@ -284,28 +284,6 @@ def test_membership_state_ceiling(monkeypatch):
     # the walk resumed after its overrun answers as the reference does
     for x in (F(1, 3), F(1, 3**10), F(2, 3**11), F(1, 2 * 3**9), F(1, 3**12)):
         assert symgaps.realization_vertices(s, x) == reference_realization(s, x)
-
-
-def test_residual_split_cantor():
-    s = build(CANTOR)
-    split = symgaps.residual_split(s, F(1, 3))
-    assert split.gamma == (F(1, 3),)
-    assert split.tails == {"u": (F(1, 9),)}
-
-
-def test_residual_split_gd2():
-    g = model.load_instance(dustgaps.fixture_path("gd2"))
-    s = build(g, root="u")
-    split = symgaps.residual_split(s, F(1, 3))
-    assert split.gamma == (F(1, 2),)
-    assert split.tails["u"] == (F(1, 8), F(1, 12))
-    assert split.tails["v"] == (F(1, 6), F(1, 9))
-    # every tail value is a genuine gap of its own vertex
-    for v, vals in split.tails.items():
-        sv = build(g, root=v)
-        for t in vals:
-            assert t < F(1, 3)
-            assert symgaps.contains(sv, t)
 
 
 def test_cycle_products_gd2():
