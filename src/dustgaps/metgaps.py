@@ -367,15 +367,16 @@ def _candidate_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Qhull rejects flat input, so the Delaunay triangulation is taken in the
     affine hull of the points (its rank from an SVD of the centred points),
     down to a sort in dimension 1.  Tiny inputs take all pairs.  Shifting by
-    the minimum first keeps the mean finite near the float limit; the mean,
-    unlike the bounding box's middle, lies in the affine hull.
+    the first point bounds every coordinate by the cloud's extent, which
+    keeps the mean finite near the float limit; the mean, unlike the
+    bounding box's middle, lies in the affine hull.
     """
     from scipy.spatial import Delaunay
 
     n, dim = pts.shape
     if n <= dim + 1:
         return np.triu_indices(n, k=1)
-    shifted = pts - pts.min(axis=0)
+    shifted = pts - pts[0]
     centred = shifted - shifted.mean(axis=0)
     _, s, vt = np.linalg.svd(centred, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * n * np.finfo(np.float64).eps))

@@ -197,63 +197,54 @@ class HullList:
         return hi - lo
 
 
-def hulls(g: GDInstance, state_budget: int = _STATE_BUDGET) -> HullList:
-    """Exact per-vertex hulls of the attractor list.
+def hulls(g: GDInstance) -> HullList:
+    """Exact per-vertex hulls of the attractor list, by policy iteration.
 
-    Seeds each vertex with the fixed points of all edge-path compositions of
-    length <= 2*#V that return to it, then closes the seed intervals under
-    the hull self-consistency identity.  The iteration grows monotonically
-    inside the true hulls and the identity has a unique interval fixed
-    point, so reaching stability certifies exactness.
+    z(u, +1) = max F_u and z(u, -1) = -min F_u solve z(u, side) = max over
+    edges u -> w (ratio r, sign s, offset c) of r*z(w, s*side) + side*c.  A
+    policy picks one edge per coordinate.  Its values follow the chosen
+    successors to a cycle, take the fixed point of the map composed around
+    it (slope below 1) and back-substitute.  A coordinate switches only to
+    a strictly better edge, so no value falls and no policy comes back: the
+    loop ends.  It ends at the hull identity, unique as every map contracts.
     """
     bad = validate(g)
     if bad:
         raise StructuralError("invalid instance: " + "; ".join(f.message for f in bad))
     out = _out_map(g)
-    limit = 2 * len(g.vertices)
-    assignment: dict[str, Optional[Interval]] = {}
-    for u in g.vertices:
-        candidates: list[Fraction] = []
-        states: set[tuple[str, AffineMap]] = {(u, _IDENTITY)}
-        total = 0
-        for _ in range(limit):
-            nxt: set[tuple[str, AffineMap]] = set()
-            for v, m in states:
-                for e in out[v]:
-                    nxt.add((e.dst, m.compose(e.sim.affine())))
-            total += len(nxt)
-            if total > state_budget:
-                raise ResourceError("hull candidate enumeration exceeded its state budget")
-            candidates.extend(m.fixed_point() for v, m in nxt if v == u)
-            states = nxt
-        assignment[u] = (min(candidates), max(candidates)) if candidates else None
-    for _ in range(5 * len(g.vertices) + 4):
-        changed = False
-        new: dict[str, Optional[Interval]] = {}
-        for u in g.vertices:
-            pieces = [
-                e.sim.image(*assignment[e.dst])
-                for e in out[u]
-                if assignment[e.dst] is not None
-            ]
-            if assignment[u] is not None:
-                pieces.append(assignment[u])
-            if not pieces:
-                new[u] = None
-                continue
-            cur = (min(p[0] for p in pieces), max(p[1] for p in pieces))
-            new[u] = cur
-            if cur != assignment[u]:
-                changed = True
-        assignment = new
-        if not changed:
-            break
-    else:
-        raise StructuralError("hull iteration failed to stabilize")
-    missing = [u for u in g.vertices if assignment[u] is None]
-    if missing:
-        raise StructuralError(f"vertices {missing} cannot reach a cycle")
-    return HullList({u: assignment[u] for u in g.vertices})
+    offers = {
+        (u, side): [
+            ((e.dst, e.sim.sign * side), AffineMap(e.sim.ratio, side * e.sim.offset))
+            for e in out[u]
+        ]
+        for u in g.vertices
+        for side in (1, -1)
+    }
+    policy = {x: opts[0] for x, opts in offers.items()}
+    while True:
+        z: dict[tuple[str, int], Fraction] = {}
+        for x in policy:
+            path: dict[tuple[str, int], None] = {}
+            while x not in z and x not in path:
+                path[x] = None
+                x = policy[x][0]
+            if x in path:
+                walk = list(path)
+                cycle = _IDENTITY
+                for y in walk[walk.index(x):]:
+                    cycle = cycle.compose(policy[y][1])
+                z[x] = cycle.fixed_point()
+            for y in reversed(path):
+                if y not in z:
+                    z[y] = policy[y][1](z[policy[y][0]])
+        better = {}
+        for x, opts in offers.items():
+            best = max(opts, key=lambda o: o[1](z[o[0]]))
+            if best[1](z[best[0]]) > z[x]:
+                better[x] = best
+        if not better:
+            return HullList({u: (-z[(u, -1)], z[(u, 1)]) for u in g.vertices})
+        policy.update(better)
 
 
 def child_hulls(g: GDInstance, h: HullList, u: str) -> list[tuple[Edge, Interval]]:
@@ -383,7 +374,6 @@ def _find_word(
     out: dict[str, list[Edge]],
     outer: Edge,
     inner: Edge,
-    state_budget: int = _STATE_BUDGET,
 ) -> Optional[tuple[str, ...]]:
     """Edge path w with S_outer . S_w == S_inner, if one exists.
 
@@ -413,7 +403,7 @@ def _find_word(
                     continue
                 nxt.setdefault((e.dst, m2), word2)
         total += len(nxt)
-        if total > state_budget:
+        if total > _STATE_BUDGET:
             return None
         states = nxt
     return None
@@ -625,7 +615,6 @@ def path_products(
     u: str,
     v: str,
     floor: Fraction,
-    state_budget: int = _STATE_BUDGET,
 ) -> set[Fraction]:
     """Ratio products of all nonempty edge paths u -> v with product >= floor.
 
@@ -637,7 +626,7 @@ def path_products(
     if floor <= 0:
         raise ValueError("floor must be positive")
     walk = ProductWalk(g, u, dict.fromkeys(g.vertices, 1))
-    states = walk.reach(floor, state_budget, "path product enumeration")
+    states = walk.reach(floor, _STATE_BUDGET, "path product enumeration")
     # the start (u, 1) is the empty path; every other product is below 1
     return {Fraction(n, d) for w, n, d in states if w == v and n < d}
 

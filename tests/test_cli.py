@@ -398,6 +398,30 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert doc["result"]["hulls"]["u"] == {"lo": "0", "hi": "1", "diameter": "1"}
 
 
+def test_hull_six_vertex_ring(capsys, tmp_path):
+    # each vertex keeps [0, 1/5] and sends [2/5, 3/5] and [4/5, 1] to the
+    # next; its 3**12 edge paths of length 2*#V are too many to enumerate
+    ring = [f"v{i}" for i in range(6)]
+    edges = []
+    for i, v in enumerate(ring):
+        w = ring[(i + 1) % 6]
+        edges += [
+            {"id": f"a{i}", "from": v, "to": v, "ratio": "1/5", "sign": 1, "offset": "0"},
+            {"id": f"b{i}", "from": v, "to": w, "ratio": "1/5", "sign": -1, "offset": "3/5"},
+            {"id": f"c{i}", "from": v, "to": w, "ratio": "1/5", "sign": 1, "offset": "4/5"},
+        ]
+    p = tmp_path / "ring6.json"
+    p.write_text(json.dumps({"vertices": ring, "edges": edges}))
+    code, doc = run_json(capsys, "hull", str(p))
+    assert code == 0
+    assert doc["result"]["hulls"] == {
+        v: {"lo": "0", "hi": "1", "diameter": "1"} for v in ring
+    }
+    code, doc = run_json(capsys, "validate", str(p))
+    assert code == 0
+    assert doc["result"]["separation"] == "hull_disjoint"
+
+
 def test_hull_unknown_root(capsys):
     code, doc = run_json(capsys, "hull", CANTOR, "--root", "w")
     assert code == 2

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dustgaps
 from dustgaps import model
@@ -94,6 +96,92 @@ def test_hull_shifted_scale():
     g = ifs(("1/3", 1, "10/3"), ("1/3", 1, "22/3"))
     assert model.hulls(g).interval("u") == (F(5), F(11))
     assert_hull_consistent(g)
+
+
+def seeded_hulls(g: GDInstance, state_budget: int = 500_000) -> dict:
+    """Reference hulls by composition seeding, exponential in #V.
+
+    Seeds each vertex with the fixed points of all edge-path compositions of
+    length <= 2*#V that return to it, then closes the seed intervals under
+    the hull identity.  The closure grows inside the true hulls and the
+    identity has a unique fixed point, so stability certifies exactness.
+    """
+    out = model._out_map(g)
+    limit = 2 * len(g.vertices)
+    assignment = {}
+    for u in g.vertices:
+        candidates = []
+        states = {(u, model._IDENTITY)}
+        total = 0
+        for _ in range(limit):
+            nxt = set()
+            for v, m in states:
+                for e in out[v]:
+                    nxt.add((e.dst, m.compose(e.sim.affine())))
+            total += len(nxt)
+            if total > state_budget:
+                raise ResourceError("hull candidate enumeration exceeded its state budget")
+            candidates.extend(m.fixed_point() for v, m in nxt if v == u)
+            states = nxt
+        assignment[u] = (min(candidates), max(candidates)) if candidates else None
+    for _ in range(5 * len(g.vertices) + 4):
+        new = {}
+        for u in g.vertices:
+            pieces = [
+                e.sim.image(*assignment[e.dst])
+                for e in out[u]
+                if assignment[e.dst] is not None
+            ]
+            if assignment[u] is not None:
+                pieces.append(assignment[u])
+            new[u] = (min(p[0] for p in pieces), max(p[1] for p in pieces)) if pieces else None
+        if new == assignment:
+            break
+        assignment = new
+    else:
+        raise StructuralError("hull iteration failed to stabilize")
+    assert None not in assignment.values()
+    return assignment
+
+
+@st.composite
+def signed_gd_systems(draw):
+    n = draw(st.integers(1, 5))
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = []
+    for u in vertices:
+        # three maps per vertex only up to three vertices keeps the
+        # reference's 3**(2*#V) compositions cheap
+        for k in range(draw(st.integers(2, 3 if n <= 3 else 2))):
+            sim = Similarity1D(
+                draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 5), F(1, 4), F(3, 7)])),
+                draw(st.sampled_from([1, 1, 1, -1, -1])),
+                F(draw(st.integers(-9, 9)), draw(st.integers(1, 6))),
+            )
+            edges.append(model.Edge(f"{u}e{k}", u, draw(st.sampled_from(vertices)), sim))
+    g = GDInstance(vertices, tuple(edges))
+    assume(not model.validate(g))
+    return g
+
+
+@settings(max_examples=75, deadline=None)
+@given(signed_gd_systems())
+def test_hulls_match_seeded_reference(g):
+    assert model.hulls(g).intervals == seeded_hulls(g)
+    assert_hull_consistent(g)
+
+
+def test_hulls_reject_out_degree_one():
+    g = GDInstance(
+        ("u", "v"),
+        (
+            model.Edge("a", "u", "v", Similarity1D(F(1, 3), 1, F(0))),
+            model.Edge("b", "u", "u", Similarity1D(F(1, 3), 1, F(2, 3))),
+            model.Edge("c", "v", "u", Similarity1D(F(1, 2), -1, F(1))),
+        ),
+    )
+    with pytest.raises(StructuralError, match="d_v = 1 < 2"):
+        model.hulls(g)
 
 
 def test_hulls_random_instances(rng):
