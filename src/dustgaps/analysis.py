@@ -22,11 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 from typing import Iterable, Optional, Union
 
 from . import symgaps
-from .exactnum import ExponentVector, QSpan, factor, format_rational, nonneg_solve, qrank
+from .exactnum import (
+    ExponentVector,
+    QSpan,
+    factor,
+    format_rational,
+    nonneg_solve,
+    order_key,
+    qrank,
+    reduced,
+)
 from .model import GDInstance, HULL_DISJOINT, SSC_CERTIFIED, hulls, separation_check
 from .symgaps import GapEnumeration, SymbolicGapSet
 
@@ -149,14 +158,7 @@ def _descending(ratios: Iterable[Fraction]) -> tuple[Fraction, ...]:
     orders by correctly rounded floats, falling back to the exact comparison
     only on a float tie, so no Fraction is hashed and few are compared."""
     distinct = {r.as_integer_ratio(): r for r in ratios}
-    return tuple(sorted(distinct.values(), key=_order_key, reverse=True))
-
-
-def _order_key(r: Fraction) -> tuple[float, Fraction]:
-    try:
-        return r.numerator / r.denominator, r
-    except OverflowError:  # beyond the float range, above every float
-        return inf, r
+    return tuple(sorted(distinct.values(), key=order_key, reverse=True))
 
 
 def ratios_of(
@@ -243,16 +245,16 @@ def _mine_ratios(
         cn, cd = tn, td
         while cn * fd >= fn * cd and (cn, cd) in present:
             witnesses += 1
-            cn, cd = _reduced(cn * rn, cd * rd)
+            cn, cd = reduced(cn * rn, cd * rd)
         if cn * fd >= fn * cd:
             continue  # a member above the floor is missing
         # then every present member above theta
         top = (tn, td)
-        un, ud = _reduced(tn * rd, td * rn)
+        un, ud = reduced(tn * rd, td * rn)
         while (un, ud) in present:
             witnesses += 1
             top = (un, ud)
-            un, ud = _reduced(un * rd, ud * rn)
+            un, ud = reduced(un * rd, ud * rn)
         if witnesses < min_witnesses:
             continue
         verified = False
@@ -286,11 +288,6 @@ def _mine_ratios(
     )
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def _ladder_continues(
     s: SymbolicGapSet, n: int, d: int, rn: int, rd: int, depth: int
 ) -> bool:
@@ -299,7 +296,7 @@ def _ladder_continues(
     for _ in range(depth):
         if not symgaps.contains(s, Fraction(n, d)):
             return False
-        n, d = _reduced(n * rn, d * rd)
+        n, d = reduced(n * rn, d * rd)
     return True
 
 

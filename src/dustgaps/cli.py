@@ -21,13 +21,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from . import __version__, analysis, model, symgaps
+from . import __version__, model
 from .exactnum import format_rational, parse_rational
 
-# metgaps (and with it numpy) is imported only by the subcommands that build
-# a point cloud, so the exact subcommands start without it
+# each subcommand imports what it runs: symgaps for the symbolic gap set,
+# analysis for mining and verdicts, metgaps for a point cloud; numpy loads
+# only with a float cloud, so validate, hull and every exact run start
+# without it
 if TYPE_CHECKING:
-    from . import metgaps
+    from . import analysis, metgaps, symgaps
 
 _BUDGET_ENV = "DUSTGAPS_BUDGET"
 
@@ -119,11 +121,6 @@ def _in_cloud_arithmetic(cloud: metgaps.PointCloud, value: Fraction, name: str):
         raise ValueError(f"{name} is too large for a float cloud") from None
 
 
-def _symbolic(g: model.GDInstance, root: Optional[str]):
-    sep = model.separation_check(g)
-    return symgaps.build(g, root=root, separation=sep), sep
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -171,6 +168,8 @@ def _cmd_hull(args) -> tuple[dict, dict, Optional[str], int]:
 
 def _cmd_gaps(args) -> tuple[dict, dict, Optional[str], int]:
     if args.exact:
+        from . import symgaps
+
         if args.instance is None:
             raise ValueError("gaps --exact needs an instance file")
         if args.cutoff is None:
@@ -183,13 +182,14 @@ def _cmd_gaps(args) -> tuple[dict, dict, Optional[str], int]:
             "root": args.root,
         }
         g = _validated(args.instance)
-        s, sep = _symbolic(g, args.root)
+        s = symgaps.build(g, root=args.root)
         enum = symgaps.enumerate_gaps(
             s, cutoff, budget=_budget(symgaps.DEFAULT_VALUE_BUDGET)
         )
         if args.format == "csv":
             return params, {"_csv": enum.csv_lines()}, None, 0
-        result = {"separation": sep.verdict, "root": s.root, **enum.to_json()}
+        # build refuses every instance that is not hull-disjoint
+        result = {"separation": model.HULL_DISJOINT, "root": s.root, **enum.to_json()}
         return params, result, None, 0
     from . import metgaps
 
@@ -261,6 +261,9 @@ def _cmd_kappa(args) -> tuple[dict, dict, Optional[str], int]:
 
 
 def _cmd_ratios(args) -> tuple[dict, dict, Optional[str], int]:
+    from . import analysis, symgaps
+
+    _mining_defaults(args)
     analysis.check_mining_args(args.min_witnesses, args.verify_depth)
     theta = parse_rational(args.theta)
     cutoff = parse_rational(args.cutoff)
@@ -273,7 +276,7 @@ def _cmd_ratios(args) -> tuple[dict, dict, Optional[str], int]:
         "root": args.root,
     }
     g = _validated(args.instance)
-    s, _ = _symbolic(g, args.root)
+    s = symgaps.build(g, root=args.root)
     enum = symgaps.enumerate_gaps(
         s, cutoff, budget=_budget(symgaps.DEFAULT_VALUE_BUDGET)
     )
@@ -289,6 +292,9 @@ def _cmd_ratios(args) -> tuple[dict, dict, Optional[str], int]:
 
 def _dependence(args) -> tuple[dict, analysis.AlgdepReport, dict]:
     """Parameters, dependence report and gap-side fields of algdep and bound."""
+    from . import analysis, symgaps
+
+    _mining_defaults(args)
     source = "ifs" if args.from_ifs else "gaps"
     params = {
         "instance": args.instance,
@@ -303,7 +309,7 @@ def _dependence(args) -> tuple[dict, analysis.AlgdepReport, dict]:
     if args.from_ifs:
         return params, analysis.algdep_of_ifs(g), {}
     cutoff = parse_rational(args.cutoff)
-    s, _ = _symbolic(g, args.root)
+    s = symgaps.build(g, root=args.root)
     budget = _budget(symgaps.DEFAULT_VALUE_BUDGET)
     theta = None if args.theta is None else parse_rational(args.theta)
     threshold, theta, rep = analysis.dependence_from_gaps(
@@ -328,6 +334,9 @@ def _cmd_algdep(args) -> tuple[dict, dict, Optional[str], int]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, Optional[str], int]:
+    from . import analysis, symgaps
+
+    _mining_defaults(args)
     if args.commensurability is not None:
         if args.commensurability and args.ratios_a:
             raise ValueError("give either a second instance or ratio lists, not both")
@@ -390,7 +399,7 @@ def _cmd_verify(args) -> tuple[dict, dict, Optional[str], int]:
             "root": args.root,
         }
         g = _validated(args.instance)
-        s, _ = _symbolic(g, args.root)
+        s = symgaps.build(g, root=args.root)
         verdict = analysis.verify_sandwich(
             g,
             s,
@@ -405,6 +414,8 @@ def _cmd_verify(args) -> tuple[dict, dict, Optional[str], int]:
 
 
 def _cmd_bound(args) -> tuple[dict, dict, Optional[str], int]:
+    from . import analysis
+
     params, rep, extra = _dependence(args)
     result = {
         **extra,
@@ -417,6 +428,8 @@ def _cmd_bound(args) -> tuple[dict, dict, Optional[str], int]:
 
 
 def _cmd_prune(args) -> tuple[dict, dict, Optional[str], int]:
+    from . import analysis
+
     params = {
         "instance": args.instance,
         "assert_full_measure": bool(args.assert_full_measure),
@@ -424,7 +437,11 @@ def _cmd_prune(args) -> tuple[dict, dict, Optional[str], int]:
         "pruned_output": args.write_pruned,
     }
     g = model.load_instance(args.instance)
-    res = analysis.prune_to_ssc(g, args.assert_full_measure, depth=args.depth)
+    try:
+        res = analysis.prune_to_ssc(g, args.assert_full_measure, depth=args.depth)
+    except analysis.PruneError as exc:
+        # a pruning that cannot restore separation fails its claim
+        return {}, _error(exc), "ssc-pruning", 1
     pruned_doc = model.instance_to_json(res.pruned)
     if args.write_pruned:
         Path(args.write_pruned).write_text(
@@ -459,8 +476,19 @@ def _add_cloud_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mining_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--min-witnesses", type=int, default=analysis.DEFAULT_MIN_WITNESSES)
-    p.add_argument("--verify-depth", type=int, default=analysis.DEFAULT_VERIFY_DEPTH)
+    # the defaults live in analysis, which the parser does not import;
+    # _mining_defaults fills them in when a handler runs
+    p.add_argument("--min-witnesses", type=int)
+    p.add_argument("--verify-depth", type=int)
+
+
+def _mining_defaults(args) -> None:
+    from . import analysis
+
+    if args.min_witnesses is None:
+        args.min_witnesses = analysis.DEFAULT_MIN_WITNESSES
+    if args.verify_depth is None:
+        args.verify_depth = analysis.DEFAULT_VERIFY_DEPTH
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,28 +598,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# exception class -> (exit code, claim) of its error envelope; the first
-# matching class wins
+# exception class -> exit code of its error envelope; the first matching
+# class wins.  symgaps.UnsupportedInstanceError is a StructuralError, and
+# _cmd_prune reports a PruneError itself.
 _ERRORS = (
-    (analysis.PruneError, 1, "ssc-pruning"),
-    (model.ResourceError, 3, None),
-    (ValueError, 2, None),
-    (OSError, 2, None),
-    (model.StructuralError, 2, None),
-    (symgaps.UnsupportedInstanceError, 2, None),
+    (model.ResourceError, 3),
+    (ValueError, 2),
+    (OSError, 2),
+    (model.StructuralError, 2),
 )
 
 
+def _error(exc: Exception) -> dict:
+    return {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+
+
 def _error_report(command: str, exc: Exception) -> tuple[str, int]:
-    code, claim = next((c, k) for cls, c, k in _ERRORS if isinstance(exc, cls))
-    error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-    return _envelope(command, {}, error, claim), code
+    code = next(c for cls, c in _ERRORS if isinstance(exc, cls))
+    return _envelope(command, {}, _error(exc), None), code
 
 
 def _report(args) -> tuple[str, int]:
     try:
         params, result, claim, code = args.handler(args)
-    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+    except tuple(cls for cls, _ in _ERRORS) as exc:
         return _error_report(args.command, exc)
     if "_csv" in result:
         return "\n".join(result["_csv"]) + "\n", code

@@ -39,6 +39,23 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def order_key(value: Fraction) -> tuple[float, Fraction]:
+    """Sort key that orders rationals exactly: the correctly rounded float,
+    which rounding keeps monotone, then the value itself, compared only on
+    a float tie.  Sorting by it compares few Fractions."""
+    n = value.numerator
+    try:
+        return n / value.denominator, value
+    except OverflowError:  # beyond the float range, past every float
+        return (math.inf if n > 0 else -math.inf), value
+
+
+def reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms as an integer pair, for d > 0."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 @dataclass(frozen=True)
 class ExponentVector:
     """Signed prime-exponent vector; encodes prod p**e_p exactly.

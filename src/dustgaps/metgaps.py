@@ -10,8 +10,10 @@ weights <= delta.  Dimension 1 supports exact rational coordinates and
 sorts its spacings; dimensions 2 and 3 run in float64, with a relative tie
 tolerance recorded whenever nearly-equal heights are grouped, and take the
 tree from dense Prim or, above _DENSE_LIMIT points, from the Delaunay
-triangulation.  scipy is imported only by the Delaunay path, so the 1-D and
-dense code and the CLI start without it.
+triangulation.  An exact cloud is sorted, spaced and measured on Python
+integers and Fractions alone.  numpy is imported only by the functions that
+build or measure a float cloud, and scipy only by the Delaunay path, so
+exact clouds, and the CLI, start without either.
 """
 
 from __future__ import annotations
@@ -22,16 +24,18 @@ import io
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
-
-from .exactnum import format_rational, parse_rational
+from .exactnum import format_rational, order_key, parse_rational, reduced
 from .model import Cover
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TIE_TOLERANCE = 1e-12
 _DENSE_LIMIT = 4096
@@ -70,10 +74,14 @@ class PointCloud:
         rows = list(pts)
         if not rows:
             raise ValueError("point cloud must be nonempty")
-        scalar = not isinstance(rows[0], (tuple, list, np.ndarray))
-        if scalar:
-            if all(isinstance(x, (Fraction, int)) for x in rows):
-                return cls(1, True, tuple(sorted({Fraction(x) for x in rows})), resolution)
+        if all(isinstance(x, (Fraction, int)) for x in rows):
+            # equal values sort next to each other, so one pass drops repeats;
+            # sorted keys compare as their floats unless two floats tie
+            keyed = sorted(order_key(x if type(x) is Fraction else Fraction(x)) for x in rows)
+            return cls(1, True, tuple(x for (_, x), _ in itertools.groupby(keyed)), resolution)
+        import numpy as np
+
+        if not isinstance(rows[0], (tuple, list, np.ndarray)):
             arr = np.unique(np.asarray(rows, dtype=np.float64))
             return cls(1, False, _finite_spread(arr), resolution)
         dim = len(rows[0])
@@ -97,6 +105,8 @@ def _finite_spread(arr: np.ndarray) -> np.ndarray:
     monotone), so every backend then measures every edge without overflow;
     past it, squared differences would overflow to inf, or inf - inf to nan,
     and the report would be wrong."""
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         extent = np.ptp(arr.reshape(len(arr), -1), axis=0)
         diagonal = _lengths(extent[None, :])[0]
@@ -156,6 +166,8 @@ def kappa(cloud: PointCloud, delta) -> int:
 def _lengths(diff: np.ndarray) -> np.ndarray:
     """Euclidean lengths of the rows of a difference array.  Every backend
     measures with this one formula, so equal edges get bit-equal weights."""
+    import numpy as np
+
     return np.abs(diff[:, 0]) if diff.shape[1] == 1 else np.sqrt((diff * diff).sum(axis=1))
 
 
@@ -242,6 +254,8 @@ def _tie_groups(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its first weight is one group.  Only runs that drift past the tolerance
     without an adjacent break are split further, anchor by anchor.
     """
+    import numpy as np
+
     m = len(w)
     if m == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
@@ -278,11 +292,23 @@ def _tree_weights(cloud: PointCloud, method: str) -> Sequence:
     up to _DENSE_LIMIT points and the Delaunay MST above; "dense" and
     "delaunay" force a backend (every method sorts an exact cloud, and
     "delaunay" a 1-D one).  Exact clouds give a tuple of Fractions, float
-    clouds a read-only array.
+    clouds a read-only array.  An exact cloud's spacings are counted as
+    reduced integer pairs, so only the distinct values become Fractions and
+    are sorted.
     """
     pts = cloud.points
     if cloud.exact:
-        return tuple(sorted(b - a for a, b in itertools.pairwise(pts)))
+        # each spacing r/s - p/q as a reduced pair, equal spacings equal pairs
+        pairs = itertools.pairwise(x.as_integer_ratio() for x in pts)
+        counts = Counter(reduced(r * q - p * s, q * s) for (p, q), (r, s) in pairs)
+        distinct = sorted((Fraction(n, d) for n, d in counts), key=order_key)
+        return tuple(
+            itertools.chain.from_iterable(
+                itertools.repeat(w, counts[w.numerator, w.denominator]) for w in distinct
+            )
+        )
+    import numpy as np
+
     if method == "dense":
         weights = _mst_dense_float(pts.reshape(cloud.n, -1))
     elif cloud.dim == 1:
@@ -311,6 +337,8 @@ def _mst_dense_float(pts: np.ndarray) -> np.ndarray:
     spanning tree has the same multiset of weights, whatever order Prim
     takes the points in.
     """
+    import numpy as np
+
     n, dim = pts.shape
     weights = np.empty(n - 1, dtype=np.float64)
     cols = [pts[1:, a].copy() for a in range(dim)]
@@ -345,6 +373,7 @@ def _mst_delaunay(pts: np.ndarray) -> np.ndarray:
     """MST weights via csgraph over the Delaunay edges, which contain a
     Euclidean MST (Shamos & Hoey, 1975).  Tree edges are measured again from
     the original coordinates."""
+    import numpy as np
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import minimum_spanning_tree
 
@@ -371,6 +400,7 @@ def _candidate_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keeps the mean finite near the float limit; the mean, unlike the
     bounding box's middle, lies in the affine hull.
     """
+    import numpy as np
     from scipy.spatial import Delaunay
 
     n, dim = pts.shape

@@ -291,7 +291,14 @@ def separation_check(
     overlap: an exact shared point or nesting certificate was found.
     unknown: neither separation nor intersection could be certified.
     """
-    h = hulls(g)
+    return _separation_check(g, hulls(g), refine_depth, budget)
+
+
+def _separation_check(
+    g: GDInstance, h: HullList, refine_depth: int = 12, budget: int = DEFAULT_INTERVAL_BUDGET
+) -> SeparationReport:
+    """`separation_check` on the hulls h of g, which callers that need them
+    too compute once."""
     out = _out_map(g)
     witnesses: list[OverlapWitness] = []
     pending: list[tuple[Edge, Edge]] = []
@@ -323,18 +330,17 @@ def separation_check(
             witnesses=tuple(witnesses),
             unresolved=tuple((a.eid, b.eid) for a, b in pending),
         )
-    h_for_cover = h
     refined: list[tuple[str, str, int]] = []
     unresolved: list[tuple[str, str]] = []
     for e1, e2 in pending:
         depth_found = None
         for k in range(1, refine_depth + 1):
             try:
-                c1 = _cover(g, h_for_cover, [(e1.dst, e1.sim.affine())], k, budget)
-                c2 = _cover(g, h_for_cover, [(e2.dst, e2.sim.affine())], k, budget)
+                c1 = _cover(g, h, [(e1.dst, e1.sim.affine())], k, budget)
+                c2 = _cover(g, h, [(e2.dst, e2.sim.affine())], k, budget)
             except ResourceError:
                 break
-            if _intervals_disjoint(c1, c2):
+            if _covers_disjoint(c1, c2):
                 depth_found = k
                 break
         if depth_found is None:
@@ -415,9 +421,11 @@ def _cover(
     start_states: Iterable[tuple[str, AffineMap]],
     depth: int,
     budget: int,
-) -> list[Interval]:
+) -> tuple[list[list[int]], int]:
     """Sorted, merged interval cover after extending the start states by
     `depth` edge steps; duplicate compositions are collapsed level by level.
+    It comes as integer endpoint pairs [lo, hi] over one scale: each stands
+    for [lo/scale, hi/scale], and each lo exceeds the hi before it.
 
     The walk runs on integers.  Let D be the lcm of every edge's slope and
     intercept denominators and s0 that of the start maps.  After k steps
@@ -427,8 +435,8 @@ def _cover(
     (S, B), so a state (vertex, S, B) collapses exactly when the rational
     composition does, and the budget sees the same counts.  With H the lcm
     of the hull endpoint denominators, every image endpoint is an integer
-    over Q*H, so sorting and merging compare integers; only the merged
-    endpoints become Fractions.  Nothing is rounded.
+    over Q*H, so sorting and merging compare integers, and the scale is
+    Q*H.  Nothing is rounded.
     """
     out = _out_map(g)
     start = set(start_states)
@@ -469,8 +477,12 @@ def _cover(
                 merged[-1][1] = hi
         else:
             merged.append([lo, hi])
-    scale = s0 * big_d**depth * big_h
-    return [(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in merged]
+    return merged, s0 * big_d**depth * big_h
+
+
+def _fractions(ends: list[list[int]], scale: int) -> tuple[Interval, ...]:
+    """The intervals of a `_cover` result as exact Fractions."""
+    return tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in ends)
 
 
 def _scaled(m: AffineMap, q: int) -> tuple[int, int]:
@@ -479,12 +491,17 @@ def _scaled(m: AffineMap, q: int) -> tuple[int, int]:
     return (m.slope * q).numerator, (m.intercept * q).numerator
 
 
-def _intervals_disjoint(a: list[Interval], b: list[Interval]) -> bool:
+def _covers_disjoint(
+    a: tuple[list[list[int]], int], b: tuple[list[list[int]], int]
+) -> bool:
+    """Whether two `_cover` results share no point, compared across their
+    scales by cross-multiplying."""
+    (ends_a, sa), (ends_b, sb) = a, b
     i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][1] < b[j][0]:
+    while i < len(ends_a) and j < len(ends_b):
+        if ends_a[i][1] * sb < ends_b[j][0] * sa:
             i += 1
-        elif b[j][1] < a[i][0]:
+        elif ends_b[j][1] * sa < ends_a[i][0] * sb:
             j += 1
         else:
             return False
@@ -508,12 +525,14 @@ def cover_intervals(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    h = hulls(g)
-    return tuple(_cover(g, h, [(u, _IDENTITY)], depth, budget))
+    return _fractions(*_cover(g, hulls(g), [(u, _IDENTITY)], depth, budget))
 
 
 @dataclass(frozen=True)
 class Cover:
+    """A depth-k cover of F_root and the cloud sampled from it: the
+    midpoints or the endpoints of its intervals, strictly increasing."""
+
     root: str
     depth: int
     intervals: tuple[Interval, ...]
@@ -538,20 +557,27 @@ def approximate(
     """
     if point_mode not in ("midpoint", "endpoints"):
         raise ValueError(f"unknown point mode {point_mode!r}")
+    h = hulls(g)
     if separation is None:
-        separation = separation_check(g)
+        separation = _separation_check(g, h)
     if separation.verdict not in (HULL_DISJOINT, SSC_CERTIFIED):
         raise StructuralError(
             f"cover sampling requires a separated instance, got {separation.verdict!r}"
         )
-    intervals = cover_intervals(g, u, depth, budget)
-    h = hulls(g)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    ends, scale = _cover(g, h, [(u, _IDENTITY)], depth, budget)
+    intervals = _fractions(ends, scale)
     resolution = g.max_ratio**depth * h.diameter(u)
+    # merged intervals are strictly separated, so their midpoints, and their
+    # endpoints once a point interval gives only one, come out in order
     if point_mode == "midpoint":
-        pts = sorted({(lo + hi) / 2 for lo, hi in intervals})
+        pts = tuple(Fraction(lo + hi, 2 * scale) for lo, hi in ends)
     else:
-        pts = sorted({x for lo, hi in intervals for x in (lo, hi)})
-    return Cover(u, depth, intervals, resolution, tuple(pts), point_mode)
+        pts = tuple(
+            x for (lo, hi), iv in zip(ends, intervals) for x in (iv if lo < hi else iv[:1])
+        )
+    return Cover(u, depth, intervals, resolution, pts, point_mode)
 
 
 class ProductWalk:

@@ -25,19 +25,20 @@ from .model import (
     HullList,
     ResourceError,
     SeparationReport,
+    StructuralError,
     HULL_DISJOINT,
     ProductWalk,
     _out_map,
+    _separation_check,
     child_hulls,
     hulls,
     path_products,
-    separation_check,
 )
 
 DEFAULT_VALUE_BUDGET = 10**6
 
 
-class UnsupportedInstanceError(RuntimeError):
+class UnsupportedInstanceError(StructuralError):
     """The exact gap pipeline requires hull-disjoint child images."""
 
 
@@ -96,14 +97,14 @@ def build(
     root = root if root is not None else g.vertices[0]
     if root not in g.vertices:
         raise ValueError(f"unknown root vertex {root!r}")
+    h = hulls(g)
     if separation is None:
-        separation = separation_check(g)
+        separation = _separation_check(g, h)
     if separation.verdict != HULL_DISJOINT:
         raise UnsupportedInstanceError(
             "exact gap analysis requires hull-disjoint children, got "
             f"{separation.verdict!r}; use the metric pipeline instead"
         )
-    h = hulls(g)
     seen = _reach(_out_map(g), root)
     reachable = tuple(v for v in g.vertices if v in seen)
     level0: dict[str, tuple[Fraction, ...]] = {}

@@ -673,17 +673,19 @@ def _fresh_python(probe: str, *args: str) -> str:
 
 def test_cli_import_does_not_load_scipy():
     # every CLI call pays its imports; scipy loads only for the Delaunay MST
-    # and numpy only for the subcommands that build a point cloud
+    # and numpy only for a float point cloud
     out = _fresh_python(
         "import sys, dustgaps.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
     )
     assert out.strip() == "False False"
 
 
-# the exact subcommands of the benchmark's cli workload
+# the benchmark's cli workload calls on instance files, every one exact
 _EXACT_CALLS = [
     ["validate", GD2],
     ["hull", GD2],
+    ["kappa", CANTOR, "--depth", "10", "--delta", "1/100", "--delta", "1/1000"],
+    ["gaps", MIXED, "--metric", "--noise-floor", "1/100", "--depth", "10"],
     ["ratios", MIXED, "--theta", "1/24"],
     ["bound", MIXED],
     ["gaps", MIXED, "--exact", "--cutoff", "1/1000"],
@@ -695,18 +697,50 @@ _EXACT_CALLS = [
 ]
 
 
-def test_exact_subcommands_do_not_load_numpy():
-    probe = (
-        "import contextlib, io, json, sys\n"
-        "from dustgaps import cli\n"
-        "codes = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        codes.append(cli.main(argv))\n"
-        "print(codes, 'numpy' in sys.modules)\n"
-    )
-    out = _fresh_python(probe, json.dumps(_EXACT_CALLS))
-    assert out.splitlines()[-1] == f"{[0] * len(_EXACT_CALLS)} False"
+# runs each argv of the JSON list in argv[1], then prints the exit codes and
+# which of the modules named in argv[2] are loaded
+_MODULES_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from dustgaps import cli\n"
+    "codes = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        codes.append(cli.main(argv))\n"
+    "print(codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules])\n"
+)
+
+
+def _loaded_after(calls: list, modules: list) -> str:
+    out = _fresh_python(_MODULES_PROBE, json.dumps(calls), json.dumps(modules))
+    return out.splitlines()[-1]
+
+
+def test_exact_subcommands_do_not_load_numpy(tmp_path):
+    cloud = tmp_path / "exact.csv"
+    cloud.write_text("0\n1/3\n2/3\n1\n1/9\n")
+    calls = [
+        *_EXACT_CALLS,
+        ["kappa", "--cloud", str(cloud)],
+        ["gaps", "--metric", "--cloud", str(cloud), "--noise-floor", "1/10"],
+    ]
+    assert _loaded_after(calls, ["numpy"]) == f"{[0] * len(calls)} []"
+
+
+_NEITHER = ["dustgaps.analysis", "dustgaps.symgaps"]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["validate", GD2], _NEITHER),
+        (["hull", GD2], _NEITHER),
+        (["gaps", MIXED, "--exact", "--cutoff", "1/1000"], ["dustgaps.analysis"]),
+        (["kappa", CANTOR, "--depth", "6", "--delta", "1/100"], _NEITHER),
+        (["gaps", MIXED, "--metric", "--noise-floor", "1/100", "--depth", "6"], _NEITHER),
+    ],
+)
+def test_subcommands_load_only_the_modules_they_run(argv, absent):
+    assert _loaded_after([argv], absent) == "[0] []"
 
 
 def test_method_help_names_the_dense_limit():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dustgaps
 from conftest import brute_components
@@ -17,6 +19,49 @@ def test_from_points_exact_dim1():
     assert c.exact and c.dim == 1
     assert c.points == (F(0), F(1, 3), F(1, 2))
     assert c.n == 3
+
+
+# exact coordinates as the cloud loaders see them: ints, Fractions with
+# denominators up to 10**12 and values that repeat, in any order
+_EXACT_COORDS = st.lists(
+    st.one_of(
+        st.integers(-10**6, 10**6),
+        st.builds(F, st.integers(-10**15, 10**15), st.integers(1, 10**12)),
+    ),
+    min_size=1,
+    max_size=60,
+).flatmap(lambda xs: st.permutations(xs + xs[: len(xs) // 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXACT_COORDS)
+def test_exact_from_points_matches_set_sort(rows):
+    # oracle: the set-then-sort construction on Fractions
+    c = PointCloud.from_points(rows)
+    assert c.exact and c.dim == 1
+    assert c.points == tuple(sorted(set(map(F, rows))))
+    assert all(type(x) is F for x in c.points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXACT_COORDS)
+def test_exact_tree_weights_are_sorted_spacings(rows):
+    # oracle: every spacing subtracted and sorted as Fractions
+    c = PointCloud.from_points(rows)
+    want = tuple(sorted(b - a for a, b in zip(c.points, c.points[1:])))
+    for method in ("auto", "dense", "delaunay"):
+        assert metgaps._tree_weights(c, method) == want
+
+
+def test_exact_order_past_float_ties_and_range():
+    # values a float cannot tell apart, and values past the float range
+    huge = F(10**400)
+    rows = [F(10**17 + 1, 10**17), 1, F(10**17 - 1, 10**17), -huge, huge + 1, huge, 1]
+    c = PointCloud.from_points(rows)
+    assert c.points == tuple(sorted(set(rows)))
+    assert metgaps._tree_weights(c, "auto") == tuple(
+        sorted(b - a for a, b in zip(c.points, c.points[1:]))
+    )
 
 
 def test_from_points_float_dims():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -426,6 +427,53 @@ def test_cover_matches_fraction_reference_random(rng):
         for depth in range(1, 5):
             expected = reference_cover(g, [("u", IDENTITY)], depth)
             assert model.cover_intervals(g, "u", depth) == expected
+
+
+def reference_points(intervals, point_mode: str) -> tuple:
+    """Oracle: the cover's midpoints or endpoints as a set of Fractions,
+    sorted."""
+    if point_mode == "midpoint":
+        return tuple(sorted({(lo + hi) / 2 for lo, hi in intervals}))
+    return tuple(sorted({x for iv in intervals for x in iv}))
+
+
+def assert_points_match_reference(g: GDInstance, u: str, depth: int) -> None:
+    for mode in ("midpoint", "endpoints"):
+        cov = model.approximate(g, u, depth, point_mode=mode)
+        assert cov.intervals == model.cover_intervals(g, u, depth)
+        assert cov.points == reference_points(cov.intervals, mode), (u, depth, mode)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_approximate_points_match_reference_fixtures(name):
+    g = model.load_instance(dustgaps.fixture_path(name))
+    if name == "overlap3":
+        # not separated, so it samples no cloud; the system pruning leaves is
+        g = g.without_edge("S3")
+    for u in g.vertices:
+        for depth in range(7):
+            assert_points_match_reference(g, u, depth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32).map(random.Random))
+def test_approximate_points_match_reference_random(rng):
+    from conftest import random_hull_disjoint
+
+    g = random_hull_disjoint(rng)
+    for depth in range(7):
+        assert_points_match_reference(g, "u", depth)
+
+
+def test_approximate_point_interval_gives_one_endpoint():
+    # x/2 and x/3 both fix 0, so every cover interval is [0, 0]; a caller's
+    # report stands in for the separation this attractor lacks
+    g = ifs(("1/2", 1, "0"), ("1/3", 1, "0"))
+    report = model.SeparationReport(HULL_DISJOINT)
+    for depth in range(3):
+        cov = model.approximate(g, "u", depth, "endpoints", separation=report)
+        assert cov.intervals == ((F(0), F(0)),)
+        assert cov.points == (F(0),)
 
 
 def test_cover_budget_counts_distinct_compositions():
