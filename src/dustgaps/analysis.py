@@ -20,14 +20,12 @@ so a spurious survivor is reported loudly instead of silently absorbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from . import symgaps
 from .exactnum import (
-    ExponentVector,
     QSpan,
     factor,
     format_rational,
@@ -36,7 +34,14 @@ from .exactnum import (
     qrank,
     reduced,
 )
-from .model import GDInstance, HULL_DISJOINT, SSC_CERTIFIED, hulls, separation_check
+from .model import (
+    GDInstance,
+    HULL_DISJOINT,
+    SSC_CERTIFIED,
+    _separation_check,
+    hulls,
+    separation_check,
+)
 from .symgaps import GapEnumeration, SymbolicGapSet
 
 PASS = "pass"
@@ -51,28 +56,26 @@ class PruneError(RuntimeError):
     """Pruning could not restore separation under the stated hypothesis."""
 
 
-@dataclass(frozen=True)
-class MonomialCone:
+class MonomialCone(
+    NamedTuple("MonomialCone", [("generators", tuple), ("vectors", tuple)])
+):
     """Finite set of positive rational generators, considered through the
     cone (nonnegative rational exponents) they generate multiplicatively.
-    `vectors` holds the generators' prime-exponent vectors, factored once
-    here."""
+    The generators are kept sorted and distinct; `vectors` holds their
+    prime-exponent vectors, factored once here from the generators alone."""
 
-    generators: tuple[Fraction, ...]
-    vectors: tuple[ExponentVector, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        gens = tuple(sorted({Fraction(g) for g in self.generators}))
+    def __new__(cls, generators: Iterable) -> "MonomialCone":
+        gens = tuple(sorted({Fraction(g) for g in generators}))
         if any(g <= 0 for g in gens):
             raise ValueError("generators must be positive")
         if not gens:
             raise ValueError("need at least one generator")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "vectors", tuple(factor(g) for g in gens))
+        return super().__new__(cls, gens, tuple(factor(g) for g in gens))
 
 
-@dataclass(frozen=True)
-class ConeDecision:
+class ConeDecision(NamedTuple):
     status: str  # "yes" | "no"
     coefficients: Optional[tuple[Fraction, ...]] = None
 
@@ -100,8 +103,7 @@ def cone_contains_q(cone: MonomialCone, x) -> ConeDecision:
     return ConeDecision("yes", coefficients=tuple(sol))
 
 
-@dataclass(frozen=True)
-class EmpiricalRatio:
+class EmpiricalRatio(NamedTuple):
     """A ratio surviving the truncated chain test: the maximal geometric
     ladder through theta, all members >= floor present in the set, topped at
     theta_prime with `witnesses` present members."""
@@ -122,8 +124,7 @@ class EmpiricalRatio:
         }
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     theta: Fraction
     floor: Fraction
     min_witnesses: int
@@ -300,8 +301,7 @@ def _ladder_continues(
     return True
 
 
-@dataclass(frozen=True)
-class AlgdepReport:
+class AlgdepReport(NamedTuple):
     """Rational-rank invariants of a ratio set.
 
     independence_number is the dimension of the Q-span of the log-ratios
@@ -408,8 +408,7 @@ def lower_bound(report: AlgdepReport) -> int:
     return max(report.independence_number, 0)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a structural verification: pass, fail, or inconclusive,
     with the machine-checkable claim it instantiates and exact witnesses."""
 
@@ -613,7 +612,8 @@ def verify_intrinsic_dependence(
     """
     check_mining_args(min_witnesses, verify_depth)
     floor = Fraction(floor)
-    sep = separation_check(g)
+    h = hulls(g)
+    sep = _separation_check(g, h)
     if sep.verdict != HULL_DISJOINT:
         return Verdict(
             "intrinsic-dependence",
@@ -621,7 +621,7 @@ def verify_intrinsic_dependence(
             f"requires a hull-disjoint instance, got {sep.verdict!r}",
             {"separation": sep.verdict},
         )
-    s = symgaps.build(g, root=root, separation=sep)
+    s = symgaps.build(g, root=root, hull_list=h)
     threshold, theta, gaps_rep = dependence_from_gaps(
         s, floor, theta, min_witnesses, verify_depth, budget
     )
@@ -654,8 +654,7 @@ def verify_intrinsic_dependence(
     return Verdict("intrinsic-dependence", PASS if ok else FAIL, summary, details)
 
 
-@dataclass(frozen=True)
-class Removal:
+class Removal(NamedTuple):
     removed: str
     kept: str
     word: tuple[str, ...]
@@ -664,8 +663,7 @@ class Removal:
         return {"removed": self.removed, "kept": self.kept, "word": list(self.word)}
 
 
-@dataclass(frozen=True)
-class PruneResult:
+class PruneResult(NamedTuple):
     pruned: GDInstance
     removals: tuple[Removal, ...]
     separation: str

@@ -27,7 +27,9 @@ from .exactnum import format_rational, parse_rational
 # each subcommand imports what it runs: symgaps for the symbolic gap set,
 # analysis for mining and verdicts, metgaps for a point cloud; numpy loads
 # only with a float cloud, so validate, hull and every exact run start
-# without it
+# without it.  Records are NamedTuples or plain classes rather than
+# decorated record classes, so an exact run loads neither that decorator's
+# stdlib module nor the inspect it imports
 if TYPE_CHECKING:
     from . import analysis, metgaps, symgaps
 

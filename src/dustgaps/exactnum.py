@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 DEFAULT_PRIME_BOUND = 10**6
 MAX_GENERATORS = 8
@@ -56,8 +55,7 @@ def reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(NamedTuple("ExponentVector", [("entries", tuple)])):
     """Signed prime-exponent vector; encodes prod p**e_p exactly.
 
     Vector addition corresponds to multiplication of the encoded rationals,
@@ -65,14 +63,14 @@ class ExponentVector:
     zero exponents dropped, so equality and hashing are structural.
     """
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(sorted((int(p), int(e)) for p, e in self.entries if e != 0))
+    def __new__(cls, entries: Iterable[tuple[int, int]] = ()) -> "ExponentVector":
+        cleaned = tuple(sorted((int(p), int(e)) for p, e in entries if e != 0))
         for p, _ in cleaned:
             if p < 2:
                 raise ValueError(f"prime must be >= 2, got {p}")
-        object.__setattr__(self, "entries", cleaned)
+        return super().__new__(cls, cleaned)
 
     @classmethod
     def from_mapping(cls, mapping) -> "ExponentVector":
@@ -161,8 +159,7 @@ def compose(vector: ExponentVector) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class QSpan:
+class QSpan(NamedTuple):
     """Q-linear span of exponent vectors, held as a row-reduced basis.
 
     Basis rows are rescaled to primitive integer vectors with positive

@@ -25,11 +25,10 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .exactnum import format_rational, order_key, parse_rational, reduced
 from .model import Cover
@@ -43,7 +42,6 @@ _DENSE_LIMIT = 4096
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-@dataclass(frozen=True)
 class PointCloud:
     """Deduplicated finite point set in dimension 1, 2, or 3.
 
@@ -51,13 +49,21 @@ class PointCloud:
     store a float64 array, sorted in dimension 1 and row-deduplicated
     otherwise.  `resolution` records the sampling error bound when the cloud
     came from an attractor cover.  `from_points` rejects a float cloud whose
-    distances could overflow float64 (`_finite_spread`).
+    distances could overflow float64 (`_finite_spread`).  Fields are read
+    only; `tree_weights` is computed once per cloud.
     """
 
-    dim: int
-    exact: bool
-    points: Union[tuple[Fraction, ...], np.ndarray]
-    resolution: Optional[Union[Fraction, float]] = None
+    def __init__(
+        self,
+        dim: int,
+        exact: bool,
+        points: Union[tuple[Fraction, ...], np.ndarray],
+        resolution: Optional[Union[Fraction, float]] = None,
+    ) -> None:
+        vars(self).update(dim=dim, exact=exact, points=points, resolution=resolution)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def n(self) -> int:
@@ -171,8 +177,7 @@ def _lengths(diff: np.ndarray) -> np.ndarray:
     return np.abs(diff[:, 0]) if diff.shape[1] == 1 else np.sqrt((diff * diff).sum(axis=1))
 
 
-@dataclass(frozen=True)
-class KappaProfile:
+class KappaProfile(NamedTuple):
     """Right-continuous step description of delta -> kappa(delta).
 
     heights are the distinct merge heights ascending; counts[i] is kappa on
@@ -440,8 +445,7 @@ def _candidate_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ii), np.concatenate(jj)
 
 
-@dataclass(frozen=True)
-class MetricGapReport:
+class MetricGapReport(NamedTuple):
     """Merge heights above the noise floor, sorted descending, with
     warnings when the floor sits too close to the sampling resolution."""
 

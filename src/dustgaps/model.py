@@ -14,10 +14,9 @@ import bisect
 import heapq
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .exactnum import format_rational, parse_rational
 
@@ -40,8 +39,7 @@ class ResourceError(RuntimeError):
     """An enumeration exceeded its interval or state budget."""
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """x -> slope*x + intercept with nonzero slope."""
 
     slope: Fraction
@@ -64,21 +62,23 @@ class AffineMap:
 _IDENTITY = AffineMap(Fraction(1), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Similarity1D:
-    """x -> sign*ratio*x + offset; contracting exactly when ratio < 1."""
+class Similarity1D(
+    NamedTuple("Similarity1D", [("ratio", Fraction), ("sign", int), ("offset", Fraction)])
+):
+    """x -> sign*ratio*x + offset; contracting exactly when ratio < 1.
 
-    ratio: Fraction
-    sign: int
-    offset: Fraction
+    ratio and offset are stored as Fractions; sign is the int 1 or -1, so
+    no float or bool enters the exact pipeline through it."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.ratio <= 0:
-            raise ValueError(f"ratio must be positive, got {self.ratio}")
+    __slots__ = ()
+
+    def __new__(cls, ratio, sign: int, offset) -> "Similarity1D":
+        ratio, offset = Fraction(ratio), Fraction(offset)
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign must be the integer 1 or -1, got {sign!r}")
+        if ratio <= 0:
+            raise ValueError(f"ratio must be positive, got {ratio}")
+        return super().__new__(cls, ratio, sign, offset)
 
     def affine(self) -> AffineMap:
         return AffineMap(self.sign * self.ratio, self.offset)
@@ -87,16 +87,14 @@ class Similarity1D:
         return self.affine().image(lo, hi)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     eid: str
     src: str
     dst: str
     sim: Similarity1D
 
 
-@dataclass(frozen=True)
-class GDInstance:
+class GDInstance(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
@@ -122,8 +120,7 @@ class GDInstance:
         return GDInstance(self.vertices, tuple(e for e in self.edges if e.eid != eid))
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     code: str
     message: str
 
@@ -177,8 +174,7 @@ def _out_map(g: GDInstance) -> dict[str, list[Edge]]:
     return out
 
 
-@dataclass(frozen=True)
-class HullList:
+class HullList(NamedTuple):
     """Exact attractor hulls [min F_u, max F_u] per vertex."""
 
     intervals: dict[str, Interval]
@@ -254,8 +250,7 @@ def child_hulls(g: GDInstance, h: HullList, u: str) -> list[tuple[Edge, Interval
     return items
 
 
-@dataclass(frozen=True)
-class OverlapWitness:
+class OverlapWitness(NamedTuple):
     """Exact evidence that two child attractors intersect.
 
     kind "shared-point": `point` lies in both children.
@@ -270,8 +265,7 @@ class OverlapWitness:
     word: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     verdict: str
     witnesses: tuple[OverlapWitness, ...] = ()
     refined_pairs: tuple[tuple[str, str, int], ...] = ()
@@ -528,8 +522,7 @@ def cover_intervals(
     return _fractions(*_cover(g, hulls(g), [(u, _IDENTITY)], depth, budget))
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     """A depth-k cover of F_root and the cloud sampled from it: the
     midpoints or the endpoints of its intervals, strictly increasing."""
 
@@ -758,8 +751,6 @@ def _similarity(m: dict) -> Similarity1D:
     # a JSON number has already been rounded to binary by the parser
     if not (isinstance(ratio, str) and isinstance(offset, str)):
         raise ValueError(f"ratio and offset must be rational strings, got {ratio!r}, {offset!r}")
-    if type(sign) is not int:
-        raise ValueError(f"sign must be the integer 1 or -1, got {sign!r}")
     return Similarity1D(parse_rational(ratio), sign, parse_rational(offset))
 
 

@@ -14,9 +14,8 @@ gaps collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import format_rational
 from .model import (
@@ -24,7 +23,6 @@ from .model import (
     GDInstance,
     HullList,
     ResourceError,
-    SeparationReport,
     StructuralError,
     HULL_DISJOINT,
     ProductWalk,
@@ -42,7 +40,6 @@ class UnsupportedInstanceError(StructuralError):
     """The exact gap pipeline requires hull-disjoint child images."""
 
 
-@dataclass
 class SymbolicGapSet:
     """Finite description of the full gap length set of F_root.
 
@@ -58,16 +55,23 @@ class SymbolicGapSet:
     lives.
     """
 
-    graph: GDInstance
-    root: str
-    level0: dict[str, tuple[Fraction, ...]]
-    hull_list: HullList
-    reachable: tuple[str, ...]
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(
+        self,
+        graph: GDInstance,
+        root: str,
+        level0: dict[str, tuple[Fraction, ...]],
+        hull_list: HullList,
+        reachable: tuple[str, ...],
+    ) -> None:
+        self.graph = graph
+        self.root = root
+        self.level0 = level0
+        self.hull_list = hull_list
+        self.reachable = reachable
+        self._memo: dict = {}
 
 
-@dataclass(frozen=True)
-class GapEnumeration:
+class GapEnumeration(NamedTuple):
     """All distinct gap lengths >= cutoff, sorted descending."""
 
     cutoff: Fraction
@@ -86,20 +90,20 @@ class GapEnumeration:
 def build(
     g: GDInstance,
     root: Optional[str] = None,
-    separation: Optional[SeparationReport] = None,
+    hull_list: Optional[HullList] = None,
 ) -> SymbolicGapSet:
     """Construct the symbolic gap set rooted at `root` (default: first vertex).
 
     Refuses instances that are not hull-disjoint: with overlapping or merely
     SSC-separated child hulls the complement spacings at one level are no
     longer gap lengths of the attractor, so this representation would lie.
+    A caller that already holds `hulls(g)` passes it as `hull_list`.
     """
     root = root if root is not None else g.vertices[0]
     if root not in g.vertices:
         raise ValueError(f"unknown root vertex {root!r}")
-    h = hulls(g)
-    if separation is None:
-        separation = _separation_check(g, h)
+    h = hull_list if hull_list is not None else hulls(g)
+    separation = _separation_check(g, h)
     if separation.verdict != HULL_DISJOINT:
         raise UnsupportedInstanceError(
             "exact gap analysis requires hull-disjoint children, got "

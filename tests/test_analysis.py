@@ -26,6 +26,7 @@ from dustgaps.analysis import (
     verify_intrinsic_dependence,
     verify_sandwich,
 )
+from dustgaps.exactnum import factor
 from dustgaps.model import Similarity1D
 
 F = Fraction
@@ -42,8 +43,12 @@ MIXED = ifs(("1/2", 1, "0"), ("1/3", 1, "2/3"))
 def test_cone_normalizes_generators():
     cone = MonomialCone((F(1, 2), F(1, 3), F(1, 2)))
     assert cone.generators == (F(1, 3), F(1, 2))
+    assert cone.vectors == (factor(F(1, 3)), factor(F(1, 2)))
+    assert cone == MonomialCone([F(1, 3), F(1, 2)])
     with pytest.raises(ValueError):
         MonomialCone((F(-1, 2),))
+    with pytest.raises(ValueError):
+        MonomialCone((F(1, 2), F(0)))
     with pytest.raises(ValueError):
         MonomialCone(())
 
@@ -492,6 +497,24 @@ def test_intrinsic_dependence_requires_hull_disjoint():
     v = verify_intrinsic_dependence(g)
     assert v.status == INCONCLUSIVE
     assert "hull-disjoint" in v.summary
+
+
+def test_intrinsic_dependence_computes_the_hulls_once(monkeypatch):
+    # the separation check and the gap set share one HullList
+    calls = []
+    real = model.hulls
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (model, symgaps, analysis):
+        monkeypatch.setattr(module, "hulls", counted)
+    overlap3 = model.load_instance(dustgaps.fixture_path("overlap3"))
+    for g, status in ((MIXED, PASS), (overlap3, INCONCLUSIVE)):
+        calls.clear()
+        assert verify_intrinsic_dependence(g).status == status
+        assert calls == [g]
 
 
 def test_prune_overlap3():

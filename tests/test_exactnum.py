@@ -98,6 +98,16 @@ def test_factor_accepts_prime_just_past_bound():
     assert v.as_dict() == {1000003: 1}
 
 
+def test_exponent_vector_sorts_entries_and_drops_zero_exponents():
+    v = ExponentVector(((5, 2), (2, 0), (3, -1)))
+    assert v.entries == ((3, -1), (5, 2))
+    assert v == ExponentVector.from_mapping({5: 2, 3: -1, 7: 0})
+    assert ExponentVector(((2, 0),)) == ExponentVector()
+    for prime in (1, 0, -3):
+        with pytest.raises(ValueError, match="prime must be >= 2"):
+            ExponentVector(((prime, 1),))
+
+
 def test_exponent_vector_algebra():
     a = factor(Fraction(12))
     b = factor(Fraction(2, 9))

@@ -624,10 +624,18 @@ def test_load_instance_errors():
 
 
 def test_similarity_guards():
-    with pytest.raises(ValueError):
-        Similarity1D(F(-1, 2), 1, F(0))
+    s = Similarity1D(1, 1, 0)
+    assert type(s.ratio) is F and type(s.offset) is F
+    for ratio in (F(-1, 2), F(0)):
+        with pytest.raises(ValueError):
+            Similarity1D(ratio, 1, F(0))
     with pytest.raises(ValueError):
         Similarity1D(F(1, 2), 2, F(0))
+    # only the int 1 or -1: a float or bool sign would carry a float into
+    # the exact covers
+    for sign in (1.0, -1.0, True, "1", None):
+        with pytest.raises(ValueError, match="sign must be the integer 1 or -1"):
+            Similarity1D(F(1, 3), sign, F(0))
 
 
 def test_affine_compose_and_fixed_point():
