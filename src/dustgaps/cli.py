@@ -151,10 +151,10 @@ def _cmd_validate(args) -> tuple[dict, dict, Optional[str], int]:
 def _cmd_hull(args) -> tuple[dict, dict, Optional[str], int]:
     params = {"instance": args.instance, "root": args.root}
     g = _validated(args.instance)
-    if args.root and args.root not in g.vertices:
+    if args.root is not None and args.root not in g.vertices:
         raise ValueError(f"unknown vertex {args.root!r}")
     h = model.hulls(g)
-    names = [args.root] if args.root else list(g.vertices)
+    names = list(g.vertices) if args.root is None else [args.root]
     result = {
         "hulls": {
             u: {
@@ -202,12 +202,10 @@ def _cmd_gaps(args) -> tuple[dict, dict, Optional[str], int]:
         "mode": "metric",
         "noise_floor": format_rational(floor),
         **_cloud_source(args),
-        "method": args.method,
+        "method": "auto",  # the cloud alone selects the spanning-tree backend
     }
     cloud = _cloud_from_args(args)
-    report = metgaps.metric_gaps(
-        cloud, _in_cloud_arithmetic(cloud, floor, "--noise-floor"), method=args.method
-    )
+    report = metgaps.metric_gaps(cloud, _in_cloud_arithmetic(cloud, floor, "--noise-floor"))
     if args.format == "csv":
         lines = [
             format_rational(v) if cloud.exact else repr(float(v))
@@ -234,7 +232,7 @@ def _cmd_kappa(args) -> tuple[dict, dict, Optional[str], int]:
     params = {
         **_cloud_source(args),
         "delta": list(args.delta) if args.delta else None,
-        "method": args.method,
+        "method": "auto",  # the cloud alone selects the spanning-tree backend
     }
     cloud = _cloud_from_args(args)
     if args.delta:
@@ -247,7 +245,7 @@ def _cmd_kappa(args) -> tuple[dict, dict, Optional[str], int]:
             lines = [f"{r['delta']},{r['kappa']}" for r in rows]
             return params, {"_csv": lines}, None, 0
         return params, {"n": cloud.n, "kappa": rows}, None, 0
-    profile = metgaps.merge_heights(cloud, method=args.method)
+    profile = metgaps.merge_heights(cloud)
     if args.format == "csv":
         if cloud.exact:
             lines = [
@@ -468,13 +466,6 @@ def _add_cloud_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cloud", help="CSV point cloud (one point per line)")
     p.add_argument("--depth", type=int, help="cover depth when sampling an instance (default 12)")
     p.add_argument("--points", choices=("midpoint", "endpoints"), help="default midpoint")
-    p.add_argument(
-        "--method",
-        choices=("auto", "dense", "delaunay"),
-        default="auto",
-        help="MST backend for 2-D/3-D clouds: dense Prim, the Delaunay "
-        "triangulation, or auto (dense up to 4096 points)",
-    )
 
 
 def _add_mining_options(p: argparse.ArgumentParser) -> None:

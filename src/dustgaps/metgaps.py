@@ -5,9 +5,10 @@ kappa(delta) counts the classes of the chain relation "linked when distance
 <= delta"; merge_heights computes the distinct heights where kappa jumps as
 the edge-weight set of a minimum spanning tree (the merge height multiset is
 MST-invariant, so profiles are deterministic regardless of tie-breaking).
-Both read the sorted tree weights: kappa(delta) is n minus the number of
-weights <= delta.  Dimension 1 supports exact rational coordinates and
-sorts its spacings; dimensions 2 and 3 run in float64, with a relative tie
+Both read the sorted tree weights, which each cloud builds once: kappa(delta)
+is n minus the number of weights <= delta.  The cloud alone selects how the
+tree is built.  Dimension 1 supports exact rational coordinates and sorts
+its spacings; dimensions 2 and 3 run in float64, with a relative tie
 tolerance recorded whenever nearly-equal heights are grouped, and take the
 tree from dense Prim or, above _DENSE_LIMIT points, from the Delaunay
 triangulation.  An exact cloud is sorted, spaced and measured on Python
@@ -71,9 +72,9 @@ class PointCloud:
 
     @cached_property
     def tree_weights(self) -> Sequence:
-        """Sorted spanning-tree weights as merge_heights(method="auto")
-        builds them, computed on first use and kept; kappa reads them."""
-        return _tree_weights(self, "auto")
+        """Sorted spanning-tree weights, computed on first use and kept;
+        kappa and merge_heights read them."""
+        return _tree_weights(self)
 
     @classmethod
     def from_points(cls, pts: Iterable, resolution=None) -> "PointCloud":
@@ -210,25 +211,19 @@ class KappaProfile(NamedTuple):
         }
 
 
-def merge_heights(cloud: PointCloud, method: str = "auto") -> KappaProfile:
+def merge_heights(cloud: PointCloud) -> KappaProfile:
     """Merge heights of the single-linkage hierarchy, with multiplicities
     folded into the kappa step profile.
 
-    Methods: "auto" sorts in dimension 1 and otherwise runs dense Prim up to
-    _DENSE_LIMIT points and the Delaunay MST above it; "dense" forces the
-    O(n^2) reference; "delaunay" forces the Delaunay MST.  Every method
-    sorts the spacings of an exact cloud, its MST weights.  Both float
-    backends measure edges with the same formula, so they yield bit-equal
-    heights; floating-point heights closer than the relative tie tolerance
-    are grouped and reported once (`_tie_groups`).  The tree is built on
-    every call.
+    The heights are the cloud's sorted spanning-tree weights, built once
+    per cloud (`PointCloud.tree_weights`); floating-point heights closer
+    than the relative tie tolerance are grouped and reported once
+    (`_tie_groups`).
     """
-    if method not in ("auto", "dense", "delaunay"):
-        raise ValueError(f"unknown method {method!r}")
     n = cloud.n
     if n == 0:
         raise ValueError("point cloud must be nonempty")
-    weights = _tree_weights(cloud, method)
+    weights = cloud.tree_weights
     if not cloud.exact:
         starts, ends = _tie_groups(weights)
         heights = tuple(weights[starts].tolist())
@@ -290,16 +285,14 @@ def _tie_groups(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.append(starts[1:], m)
 
 
-def _tree_weights(cloud: PointCloud, method: str) -> Sequence:
-    """Sorted minimum-spanning-tree weights of the cloud.
-
-    "auto" takes the sorted spacings in dimension 1 and otherwise dense Prim
-    up to _DENSE_LIMIT points and the Delaunay MST above; "dense" and
-    "delaunay" force a backend (every method sorts an exact cloud, and
-    "delaunay" a 1-D one).  Exact clouds give a tuple of Fractions, float
-    clouds a read-only array.  An exact cloud's spacings are counted as
-    reduced integer pairs, so only the distinct values become Fractions and
-    are sorted.
+def _tree_weights(cloud: PointCloud) -> Sequence:
+    """Sorted minimum-spanning-tree weights of the cloud, from the backend
+    its dimension and size select: the sorted spacings in dimension 1, dense
+    Prim up to _DENSE_LIMIT points in dimensions 2 and 3, and the Delaunay
+    MST above.  Exact clouds give a tuple of Fractions, float clouds a
+    read-only array.  An exact cloud's spacings are counted as reduced
+    integer pairs, so only the distinct values become Fractions and are
+    sorted.
     """
     pts = cloud.points
     if cloud.exact:
@@ -314,11 +307,9 @@ def _tree_weights(cloud: PointCloud, method: str) -> Sequence:
         )
     import numpy as np
 
-    if method == "dense":
-        weights = _mst_dense_float(pts.reshape(cloud.n, -1))
-    elif cloud.dim == 1:
+    if cloud.dim == 1:
         weights = np.diff(pts)
-    elif method == "auto" and cloud.n <= _DENSE_LIMIT:
+    elif cloud.n <= _DENSE_LIMIT:
         weights = _mst_dense_float(pts)
     else:
         weights = _mst_delaunay(pts)
@@ -470,16 +461,14 @@ class MetricGapReport(NamedTuple):
         }
 
 
-def metric_gaps(
-    cloud: PointCloud, noise_floor, method: str = "auto"
-) -> MetricGapReport:
+def metric_gaps(cloud: PointCloud, noise_floor) -> MetricGapReport:
     """Candidate gap lengths of the sampled set: merge heights strictly above
     the noise floor.  Heights at or below twice the sampling resolution are
     indistinguishable from discretization artifacts, hence the warning."""
     floor = Fraction(noise_floor) if cloud.exact else float(noise_floor)
     if floor <= 0:
         raise ValueError("noise floor must be positive")
-    profile = merge_heights(cloud, method=method)
+    profile = merge_heights(cloud)
     warnings: list[str] = []
     values = tuple(h for h in reversed(profile.heights) if h > floor)
     if cloud.resolution is not None and floor <= 2 * float(cloud.resolution):

@@ -272,11 +272,7 @@ class SeparationReport(NamedTuple):
     unresolved: tuple[tuple[str, str], ...] = ()
 
 
-def separation_check(
-    g: GDInstance,
-    refine_depth: int = 12,
-    budget: int = DEFAULT_INTERVAL_BUDGET,
-) -> SeparationReport:
+def separation_check(g: GDInstance, refine_depth: int = 12) -> SeparationReport:
     """Classify child separation at every vertex.
 
     hull_disjoint: all child hull intervals pairwise strictly disjoint
@@ -284,13 +280,13 @@ def separation_check(
     hulls overlap but refined covers separate every overlapping pair.
     overlap: an exact shared point or nesting certificate was found.
     unknown: neither separation nor intersection could be certified.
+    A pair whose refined cover passes DEFAULT_INTERVAL_BUDGET intervals at
+    one level stays unresolved.
     """
-    return _separation_check(g, hulls(g), refine_depth, budget)
+    return _separation_check(g, hulls(g), refine_depth)
 
 
-def _separation_check(
-    g: GDInstance, h: HullList, refine_depth: int = 12, budget: int = DEFAULT_INTERVAL_BUDGET
-) -> SeparationReport:
+def _separation_check(g: GDInstance, h: HullList, refine_depth: int = 12) -> SeparationReport:
     """`separation_check` on the hulls h of g, which callers that need them
     too compute once."""
     out = _out_map(g)
@@ -330,8 +326,8 @@ def _separation_check(
         depth_found = None
         for k in range(1, refine_depth + 1):
             try:
-                c1 = _cover(g, h, [(e1.dst, e1.sim.affine())], k, budget)
-                c2 = _cover(g, h, [(e2.dst, e2.sim.affine())], k, budget)
+                c1 = _cover(g, h, e1.dst, e1.sim.affine(), k, DEFAULT_INTERVAL_BUDGET)
+                c2 = _cover(g, h, e2.dst, e2.sim.affine(), k, DEFAULT_INTERVAL_BUDGET)
             except ResourceError:
                 break
             if _covers_disjoint(c1, c2):
@@ -412,17 +408,19 @@ def _find_word(
 def _cover(
     g: GDInstance,
     h: HullList,
-    start_states: Iterable[tuple[str, AffineMap]],
+    start: str,
+    start_map: AffineMap,
     depth: int,
     budget: int,
 ) -> tuple[list[list[int]], int]:
-    """Sorted, merged interval cover after extending the start states by
-    `depth` edge steps; duplicate compositions are collapsed level by level.
-    It comes as integer endpoint pairs [lo, hi] over one scale: each stands
-    for [lo/scale, hi/scale], and each lo exceeds the hi before it.
+    """Sorted, merged interval cover after extending the start state
+    (start, start_map) by `depth` edge steps; duplicate compositions are
+    collapsed level by level.  It comes as integer endpoint pairs [lo, hi]
+    over one scale: each stands for [lo/scale, hi/scale], and each lo
+    exceeds the hi before it.
 
     The walk runs on integers.  Let D be the lcm of every edge's slope and
-    intercept denominators and s0 that of the start maps.  After k steps
+    intercept denominators and s0 that of the start map.  After k steps
     each composed map is (S/Q, B/Q) with Q = s0*D**k and integers S, B, and
     extending it by an edge with slope s/D and intercept b/D gives
     (S*s/(Q*D), (S*b + B*D)/(Q*D)).  At a fixed Q a map has exactly one
@@ -433,15 +431,14 @@ def _cover(
     Q*H.  Nothing is rounded.
     """
     out = _out_map(g)
-    start = set(start_states)
     big_d = math.lcm(*(x.denominator for e in g.edges for x in (e.sim.ratio, e.sim.offset)))
-    s0 = math.lcm(*(x.denominator for _, m in start for x in (m.slope, m.intercept)))
+    s0 = math.lcm(start_map.slope.denominator, start_map.intercept.denominator)
     big_h = math.lcm(*(x.denominator for iv in h.intervals.values() for x in iv))
     steps = {
         v: [(e.dst, *_scaled(e.sim.affine(), big_d)) for e in es]
         for v, es in out.items()
     }
-    states = {(v, *_scaled(m, s0)) for v, m in start}
+    states = {(start, *_scaled(start_map, s0))}
     for _ in range(depth):
         nxt: set[tuple[str, int, int]] = set()
         for v, sl, ic in states:
@@ -519,7 +516,7 @@ def cover_intervals(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    return _fractions(*_cover(g, hulls(g), [(u, _IDENTITY)], depth, budget))
+    return _fractions(*_cover(g, hulls(g), u, _IDENTITY, depth, budget))
 
 
 class Cover(NamedTuple):
@@ -540,7 +537,6 @@ def approximate(
     depth: int,
     point_mode: str = "midpoint",
     budget: int = DEFAULT_INTERVAL_BUDGET,
-    separation: Optional[SeparationReport] = None,
 ) -> Cover:
     """Depth-k interval cover of F_u plus a sampled point cloud.
 
@@ -551,25 +547,21 @@ def approximate(
     if point_mode not in ("midpoint", "endpoints"):
         raise ValueError(f"unknown point mode {point_mode!r}")
     h = hulls(g)
-    if separation is None:
-        separation = _separation_check(g, h)
-    if separation.verdict not in (HULL_DISJOINT, SSC_CERTIFIED):
-        raise StructuralError(
-            f"cover sampling requires a separated instance, got {separation.verdict!r}"
-        )
+    verdict = _separation_check(g, h).verdict
+    if verdict not in (HULL_DISJOINT, SSC_CERTIFIED):
+        raise StructuralError(f"cover sampling requires a separated instance, got {verdict!r}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    ends, scale = _cover(g, h, [(u, _IDENTITY)], depth, budget)
+    ends, scale = _cover(g, h, u, _IDENTITY, depth, budget)
     intervals = _fractions(ends, scale)
     resolution = g.max_ratio**depth * h.diameter(u)
-    # merged intervals are strictly separated, so their midpoints, and their
-    # endpoints once a point interval gives only one, come out in order
+    # merged intervals are strictly separated, and each has positive length:
+    # every vertex has at least two children with disjoint attractors, so no
+    # hull is a point.  Their midpoints and their endpoints come out in order.
     if point_mode == "midpoint":
         pts = tuple(Fraction(lo + hi, 2 * scale) for lo, hi in ends)
     else:
-        pts = tuple(
-            x for (lo, hi), iv in zip(ends, intervals) for x in (iv if lo < hi else iv[:1])
-        )
+        pts = tuple(x for iv in intervals for x in iv)
     return Cover(u, depth, intervals, resolution, pts, point_mode)
 
 

@@ -60,13 +60,11 @@ class SymbolicGapSet:
         graph: GDInstance,
         root: str,
         level0: dict[str, tuple[Fraction, ...]],
-        hull_list: HullList,
         reachable: tuple[str, ...],
     ) -> None:
         self.graph = graph
         self.root = root
         self.level0 = level0
-        self.hull_list = hull_list
         self.reachable = reachable
         self._memo: dict = {}
 
@@ -118,7 +116,7 @@ def build(
             ch[i + 1][1][0] - ch[i][1][1] for i in range(len(ch) - 1)
         }
         level0[v] = tuple(sorted(spacings))
-    return SymbolicGapSet(g, root, level0, h, reachable)
+    return SymbolicGapSet(g, root, level0, reachable)
 
 
 def natural_delta(s: SymbolicGapSet) -> Fraction:

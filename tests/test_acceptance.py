@@ -310,9 +310,7 @@ def test_criterion_9_large_cloud_performance(capsys):
         assert profile.n_points == 1 << k
         sub = np.random.default_rng(20260818).choice(pts, size=10_000, replace=False)
         small = metgaps.PointCloud.from_points(sub)
-        fast = metgaps.merge_heights(small)
-        dense = metgaps.merge_heights(small, method="dense")
-        assert fast.heights == dense.heights
-        assert fast.counts == dense.counts
+        dense = np.sort(metgaps._mst_dense_float(small.points.reshape(small.n, 1)))
+        assert np.asarray(small.tree_weights).tobytes() == dense.tobytes()
 
     _run(capsys, 9, "million-point merge heights and dense cross-check", 60.0, body)

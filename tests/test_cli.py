@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import random
@@ -491,6 +490,8 @@ def test_unwritable_output(capsys, tmp_path, monkeypatch, argv, where, kind):
         # the cloud subcommands used to end in a KeyError from the cover builder
         ("kappa", GD2, "--depth", "3", "--root", "nope", "--delta", "1/10"),
         ("gaps", CANTOR, "--metric", "--noise-floor", "1/100", "--root", "nope"),
+        # an empty --root names no vertex; only an absent one means all of them
+        ("hull", GD2, "--root="),
     ],
     ids=[
         "gaps-cutoff",
@@ -506,6 +507,7 @@ def test_unwritable_output(capsys, tmp_path, monkeypatch, argv, where, kind):
         "sandwich-min-witnesses",
         "kappa-root",
         "gaps-metric-root",
+        "hull-empty-root",
     ],
 )
 def test_bad_argument_exits_two(capsys, argv):
@@ -745,13 +747,17 @@ def test_subcommands_load_only_the_modules_they_run(argv, absent):
     assert _loaded_after([argv], absent) == "[0] []"
 
 
-def test_method_help_names_the_dense_limit():
-    # the help text spells the limit out so that building the parser needs no metgaps
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name in ("gaps", "kappa"):
-        method = next(a for a in sub.choices[name]._actions if "--method" in a.option_strings)
-        assert f"dense up to {metgaps._DENSE_LIMIT} points" in method.help
+@pytest.mark.parametrize(
+    "command",
+    [("kappa",), ("gaps", "--metric", "--noise-floor", "1/100")],
+    ids=["kappa", "gaps-metric"],
+)
+def test_cloud_subcommands_take_no_method(capsys, command):
+    # the cloud alone selects the spanning-tree backend
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, CANTOR, "--method", "dense"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method dense" in capsys.readouterr().err
 
 
 def test_kappa_up_to_dense_limit_does_not_load_scipy(tmp_path):

@@ -49,8 +49,7 @@ def test_exact_tree_weights_are_sorted_spacings(rows):
     # oracle: every spacing subtracted and sorted as Fractions
     c = PointCloud.from_points(rows)
     want = tuple(sorted(b - a for a, b in zip(c.points, c.points[1:])))
-    for method in ("auto", "dense", "delaunay"):
-        assert metgaps._tree_weights(c, method) == want
+    assert metgaps._tree_weights(c) == want
 
 
 def test_exact_order_past_float_ties_and_range():
@@ -59,7 +58,7 @@ def test_exact_order_past_float_ties_and_range():
     rows = [F(10**17 + 1, 10**17), 1, F(10**17 - 1, 10**17), -huge, huge + 1, huge, 1]
     c = PointCloud.from_points(rows)
     assert c.points == tuple(sorted(set(rows)))
-    assert metgaps._tree_weights(c, "auto") == tuple(
+    assert c.tree_weights == tuple(
         sorted(b - a for a, b in zip(c.points, c.points[1:]))
     )
 
@@ -170,20 +169,17 @@ def _exact_clouds():
         yield PointCloud.from_points([F(rng.randint(0, 40), 12) for _ in range(n)])
 
 
-def test_merge_heights_dense_equals_auto_on_exact_clouds():
+def test_merge_heights_exact_clouds_match_union_find():
     for c in _exact_clouds():
         assert c.exact
-        auto = metgaps.merge_heights(c)
-        dense = metgaps.merge_heights(c, method="dense")
-        assert dense.heights == auto.heights
-        assert dense.counts == auto.counts
-        assert all(type(h) is Fraction for h in dense.heights)
+        prof = metgaps.merge_heights(c)
+        assert all(type(h) is Fraction for h in prof.heights)
         # tied spacings are one height each
-        assert len(dense.heights) < c.n - 1 or c.n == 2
+        assert len(prof.heights) < c.n - 1 or c.n == 2
         # each step of the profile against all-pairs union-find
         pts = list(c.points)
-        assert brute_components(pts, dense.heights[0] / 2) == c.n
-        for h, k in zip(dense.heights, dense.counts):
+        assert brute_components(pts, prof.heights[0] / 2) == c.n
+        for h, k in zip(prof.heights, prof.counts):
             assert brute_components(pts, h) == k
 
 
@@ -239,7 +235,7 @@ def test_mst_dense_matches_kruskal_oracle():
         if uf.find(i) != uf.find(j):
             uf.union(i, j)
             weights.append(d)
-    prof = metgaps.merge_heights(c, method="dense")
+    prof = metgaps.merge_heights(c)
     # compare height sets with the profile's tie tolerance
     got = list(prof.heights)
     expected = sorted(set(weights))
@@ -284,10 +280,18 @@ KRUSKAL_CLOUDS = {
 def test_mst_dense_bit_equal_to_kruskal(name):
     c = PointCloud.from_points(KRUSKAL_CLOUDS[name]())
     before = c.points.copy()
-    dense = np.asarray(metgaps._tree_weights(c, "dense"))
+    dense = np.sort(metgaps._mst_dense_float(c.points.reshape(c.n, -1)))
     assert np.array_equal(c.points, before)
     expected = _kruskal_weights(c.points.reshape(c.n, -1))
     assert dense.tobytes() == expected.tobytes()
+
+
+def assert_backends_bit_equal(c):
+    """Dense Prim's sorted weights against the Delaunay MST's and against
+    the cloud's own tree, bit for bit; equal weights give equal profiles."""
+    dense = np.sort(metgaps._mst_dense_float(c.points))
+    assert np.sort(metgaps._mst_delaunay(c.points)).tobytes() == dense.tobytes()
+    assert np.asarray(c.tree_weights).tobytes() == dense.tobytes()
 
 
 def test_delaunay_equals_dense_random_clouds():
@@ -295,11 +299,7 @@ def test_delaunay_equals_dense_random_clouds():
     for dim in (2, 3):
         for n in (50, 400, 1200):
             pts = [tuple(rng.random() for _ in range(dim)) for _ in range(n)]
-            c = PointCloud.from_points(pts)
-            dense = metgaps.merge_heights(c, method="dense")
-            fast = metgaps.merge_heights(c, method="delaunay")
-            assert dense.heights == fast.heights
-            assert dense.counts == fast.counts
+            assert_backends_bit_equal(PointCloud.from_points(pts))
 
 
 def test_delaunay_equals_dense_clustered_cloud():
@@ -310,11 +310,7 @@ def test_delaunay_equals_dense_clustered_cloud():
         pts.extend(
             (cx + rng.random(), cy + rng.random()) for _ in range(60)
         )
-    c = PointCloud.from_points(pts)
-    dense = metgaps.merge_heights(c, method="dense")
-    fast = metgaps.merge_heights(c, method="delaunay")
-    assert dense.heights == fast.heights
-    assert dense.counts == fast.counts
+    assert_backends_bit_equal(PointCloud.from_points(pts))
 
 
 def _line_cloud(n, dim, noise, seed):
@@ -352,11 +348,7 @@ DEGENERATE_CLOUDS = {
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE_CLOUDS))
 def test_delaunay_equals_dense_degenerate_clouds(name):
-    c = PointCloud.from_points(DEGENERATE_CLOUDS[name]())
-    dense = metgaps.merge_heights(c, method="dense")
-    fast = metgaps.merge_heights(c, method="delaunay")
-    assert dense.heights == fast.heights
-    assert dense.counts == fast.counts
+    assert_backends_bit_equal(PointCloud.from_points(DEGENERATE_CLOUDS[name]()))
 
 
 def _plane_cloud(n, seed):
@@ -378,12 +370,9 @@ OFF_ORIGIN_CLOUDS = {
 @pytest.mark.parametrize("name", sorted(OFF_ORIGIN_CLOUDS))
 def test_delaunay_equals_dense_off_origin_clouds(name):
     c = PointCloud.from_points(OFF_ORIGIN_CLOUDS[name]())
-    dense = metgaps.merge_heights(c, method="dense")
-    fast = metgaps.merge_heights(c, method="delaunay")
-    assert dense.heights == fast.heights
-    assert dense.counts == fast.counts
+    assert_backends_bit_equal(c)
     if name == "limit_2d":
-        assert fast.heights == pytest.approx((0.1, 0.3, 0.4))
+        assert metgaps.merge_heights(c).heights == pytest.approx((0.1, 0.3, 0.4))
 
 
 def test_flat_cloud_off_origin_keeps_its_rank():
@@ -402,10 +391,8 @@ def test_auto_above_dense_limit_equals_dense():
     pts = np.repeat(centres, 75, axis=0) + 0.05 * rng.random((60 * 75, 2))
     c = PointCloud.from_points(pts)
     assert c.n > metgaps._DENSE_LIMIT
-    auto = metgaps.merge_heights(c)
-    dense = metgaps.merge_heights(c, method="dense")
-    assert auto.heights == dense.heights
-    assert auto.counts == dense.counts
+    dense = np.sort(metgaps._mst_dense_float(c.points))
+    assert np.asarray(c.tree_weights).tobytes() == dense.tobytes()
     # kappa above the limit against a count that builds no tree: at tree
     # weights (closed inequality), one ulp below them, and between them
     w = np.asarray(c.tree_weights)
@@ -496,7 +483,7 @@ def _weight_arrays():
 def test_tie_grouping_matches_scalar_rule(name, weights, monkeypatch):
     n = len(weights) + 1
     cloud = PointCloud(1, False, np.arange(float(n)))
-    monkeypatch.setattr(metgaps, "_tree_weights", lambda c, method: weights)
+    monkeypatch.setattr(metgaps, "_tree_weights", lambda c: weights)
     prof = metgaps.merge_heights(cloud)
     assert (prof.heights, prof.counts) == _scalar_tie_groups(weights, n)
     assert all(type(h) is float for h in prof.heights)
@@ -520,10 +507,22 @@ def test_merge_heights_dim1_float_identical_to_dense():
     rng = random.Random(61)
     pts = [rng.random() * 10 for _ in range(500)]
     c = PointCloud.from_points(pts)
-    auto = metgaps.merge_heights(c)
-    dense = metgaps.merge_heights(c, method="dense")
-    assert auto.heights == dense.heights
-    assert auto.counts == dense.counts
+    dense = np.sort(metgaps._mst_dense_float(c.points.reshape(c.n, 1)))
+    assert np.asarray(c.tree_weights).tobytes() == dense.tobytes()
+
+
+def test_one_tree_per_cloud(monkeypatch):
+    # kappa, merge_heights and metric_gaps all read the tree the cloud keeps
+    calls = []
+    real = metgaps._tree_weights
+    monkeypatch.setattr(metgaps, "_tree_weights", lambda c: calls.append(c) or real(c))
+    c = PointCloud.from_points(np.random.default_rng(149).random((300, 2)))
+    metgaps.kappa(c, 0.05)
+    prof = metgaps.merge_heights(c)
+    rep = metgaps.metric_gaps(c, 0.01)
+    assert metgaps.merge_heights(c) == prof
+    assert rep.values == tuple(h for h in reversed(prof.heights) if h > 0.01)
+    assert calls == [c]
 
 
 def test_metric_gaps_report():

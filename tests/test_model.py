@@ -441,6 +441,8 @@ def assert_points_match_reference(g: GDInstance, u: str, depth: int) -> None:
     for mode in ("midpoint", "endpoints"):
         cov = model.approximate(g, u, depth, point_mode=mode)
         assert cov.intervals == model.cover_intervals(g, u, depth)
+        # a separated instance has no point hull, so no point interval
+        assert all(lo < hi for lo, hi in cov.intervals)
         assert cov.points == reference_points(cov.intervals, mode), (u, depth, mode)
 
 
@@ -463,17 +465,6 @@ def test_approximate_points_match_reference_random(rng):
     g = random_hull_disjoint(rng)
     for depth in range(7):
         assert_points_match_reference(g, "u", depth)
-
-
-def test_approximate_point_interval_gives_one_endpoint():
-    # x/2 and x/3 both fix 0, so every cover interval is [0, 0]; a caller's
-    # report stands in for the separation this attractor lacks
-    g = ifs(("1/2", 1, "0"), ("1/3", 1, "0"))
-    report = model.SeparationReport(HULL_DISJOINT)
-    for depth in range(3):
-        cov = model.approximate(g, "u", depth, "endpoints", separation=report)
-        assert cov.intervals == ((F(0), F(0)),)
-        assert cov.points == (F(0),)
 
 
 def test_cover_budget_counts_distinct_compositions():
