@@ -277,7 +277,7 @@ def _mine_ratios(
                 verify_depth if verified else 0,
             )
         )
-    empirical.sort(key=lambda e: e.ratio, reverse=True)
+    empirical.sort(key=lambda e: order_key(e.ratio), reverse=True)
     return RatioReport(
         theta,
         floor,
@@ -339,6 +339,7 @@ def algdep_from_gaps(report: RatioReport) -> AlgdepReport:
     ratios, with the certified tier compared against the full verified set;
     a dimension mismatch is a loud warning, never silently merged."""
     certified = [r for r in report.certified if r != 1]
+    # verified_ratios and all_ratios give distinct ratios, largest first
     verified = [r for r in report.verified_ratios() if r != 1]
     warnings: list[str] = []
     ratios = verified
@@ -367,7 +368,7 @@ def algdep_from_gaps(report: RatioReport) -> AlgdepReport:
         span.dimension,
         span.dimension - 1,
         span,
-        tuple(sorted(ratios, reverse=True)),
+        tuple(ratios),
         cert_dim,
         tuple(warnings),
     )
@@ -512,8 +513,8 @@ def verify_sandwich(
     `report` must have been mined at this theta and floor.
 
     A sweep over many thetas of one gap set shares the set's memo: one
-    certificate pool per realization-vertex set and floor, and one cone
-    decision per ratio.
+    certificate pool per realization-vertex set and floor, and one cone,
+    factored once, with one decision per ratio.
     """
     check_mining_args(min_witnesses, verify_depth)
     theta = Fraction(theta)
@@ -555,8 +556,10 @@ def verify_sandwich(
         certified = set(report.certified)
         missing = [r for r in lower_pool if r not in certified]
         certified_text = [format_rational(r) for r in report.certified]
-    cone = MonomialCone(g.ratio_set())
-    decided = s._memo.setdefault(("cone", cone.generators), {})
+    ratios = g.ratio_set()
+    if ("cone", ratios) not in s._memo:
+        s._memo["cone", ratios] = (MonomialCone(ratios), {})
+    cone, decided = s._memo["cone", ratios]
     escapes = []
     upper_checks = []
     for r in report.verified_ratios():

@@ -34,7 +34,11 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize a rational exactly; inverse of parse_rational."""
+    """Serialize a rational exactly; inverse of parse_rational.  A plain
+    Fraction prints as itself; any other input (an int, a string, a float
+    or a Fraction subclass) is converted to a Fraction first."""
+    if type(value) is Fraction:
+        return str(value)
     return str(Fraction(value))
 
 

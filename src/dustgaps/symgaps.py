@@ -8,8 +8,10 @@ graph therefore represents the entire (infinite) gap length set; truncated
 enumeration and exact membership are pruned searches over that
 representation, both run by `model.ProductWalk`.  Enumeration walks
 afresh per cutoff; membership keeps one walk per gap set and continues it
-to each deeper query.  Gap lengths form a set: equal lengths from different
-gaps collapse.
+to each deeper query.  Both multiply path products by spacings as reduced
+(numerator, denominator) int pairs; enumeration builds one Fraction per
+distinct value and sorts with `exactnum.order_key`.  Gap lengths form a
+set: equal lengths from different gaps collapse.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exactnum import format_rational
+from .exactnum import format_rational, order_key, reduced
 from .model import (
     Edge,
     GDInstance,
@@ -50,9 +52,9 @@ class SymbolicGapSet:
     root's membership walk, which grows as queries go deeper.  It also
     keeps what `analysis.verify_sandwich` would otherwise redo for every
     theta of a sweep: certificate pools with their formatted strings, one
-    per realization-vertex set and floor, and cone decisions, one per cone
-    and ratio.  So each gap set pays for these once, and only while it
-    lives.
+    per realization-vertex set and floor, and each contraction-ratio cone
+    with its decisions, one per ratio.  So each gap set pays for these
+    once, and only while it lives.
     """
 
     def __init__(
@@ -160,7 +162,11 @@ def enumerate_gaps(
 
     Walks (vertex, path product) states, pruning a subtree as soon as the
     product times the largest spacing visible below it falls under the
-    cutoff; equal products at the same vertex are merged.
+    cutoff; equal products at the same vertex are merged.  Each product
+    times each spacing is tested against the cutoff and deduped as a
+    reduced integer pair; `budget` caps the distinct values.  Only the
+    distinct values become Fractions, sorted by `order_key`, so Fractions
+    are compared only where their floats tie.
     """
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
@@ -168,18 +174,23 @@ def enumerate_gaps(
     key = ("enum", cutoff)
     if key in s._memo:
         return s._memo[key]
-    values: set[Fraction] = set()
+    cn, cd = cutoff.as_integer_ratio()
+    spacings = {v: [sp.as_integer_ratio() for sp in sps] for v, sps in s.level0.items()}
+    pairs: set[tuple[int, int]] = set()
     walk = ProductWalk(s.graph, s.root, _max_visible(s))
     for v, n, d in walk.reach(cutoff, 8 * budget, "gap enumeration"):
-        for sp in s.level0[v]:
-            val = Fraction(n * sp.numerator, d * sp.denominator)
-            if val >= cutoff:
-                values.add(val)
-                if len(values) > budget:
+        for sn, sd in spacings[v]:
+            a, b = n * sn, d * sd
+            if a * cd >= cn * b:  # a/b >= cutoff over positive denominators
+                pairs.add(reduced(a, b))
+                if len(pairs) > budget:
                     raise ResourceError(
                         f"gap enumeration exceeded its budget of {budget} values"
                     )
-    result = GapEnumeration(cutoff, tuple(sorted(values, reverse=True)))
+    values = [Fraction(n, d) for n, d in pairs]
+    del pairs  # freed before the sort builds its keys
+    values.sort(key=order_key, reverse=True)
+    result = GapEnumeration(cutoff, tuple(values))
     s._memo[key] = result
     return result
 
@@ -208,9 +219,13 @@ def realization_vertices(s: SymbolicGapSet, x) -> tuple[str, ...]:
         s._memo["walk"] = ProductWalk(s.graph, s.root, _max_visible(s))
     walk = s._memo["walk"]
     walk.reach(x, 8 * DEFAULT_VALUE_BUDGET, "gap membership")
+    xn, xd = x.as_integer_ratio()
     return tuple(
         v for v in sorted(s.reachable)
-        if any((v, *(x / sp).as_integer_ratio()) in walk.seen for sp in s.level0[v])
+        if any(
+            (v, *reduced(xn * sd, xd * sn)) in walk.seen
+            for sn, sd in map(Fraction.as_integer_ratio, s.level0[v])
+        )
     )
 
 

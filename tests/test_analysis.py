@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -437,6 +438,29 @@ def test_sandwich_sweep_decides_each_ratio_once(monkeypatch):
         assert verify_sandwich(MIXED, s, theta, floor).status == PASS
     assert len(thetas) > 1
     assert len(asked) == len(set(asked))
+
+
+def test_sandwich_sweep_factors_each_contraction_ratio_once(monkeypatch):
+    # the gap set keeps the cone, so its generators are factored once per
+    # sweep; every other factor call is one cone decision per mined ratio
+    factored = []
+    real = analysis.factor
+
+    def counted(x, *args):
+        factored.append(F(x))
+        return real(x, *args)
+
+    monkeypatch.setattr(analysis, "factor", counted)
+    floor = F(1, 1000)
+    s = symgaps.build(MIXED)
+    thetas = _eligible(s, floor)
+    decided = set()
+    for theta in thetas:
+        v = verify_sandwich(MIXED, s, theta, floor)
+        assert v.status == PASS
+        decided.update(F(row["ratio"]) for row in v.details["upper_checks"])
+    assert len(thetas) > 1
+    assert Counter(factored) == Counter(MIXED.ratio_set()) + Counter(decided)
 
 
 def test_sandwich_verdicts_share_no_mutable_details():

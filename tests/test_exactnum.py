@@ -43,6 +43,27 @@ def test_parse_format_roundtrip_examples():
     assert format_rational(Fraction(4)) == "4"
 
 
+def test_format_rational_pinned_outputs():
+    # a plain Fraction prints as itself; anything else goes through Fraction,
+    # so a subclass's own __str__ is not used
+    class Odd(Fraction):
+        def __str__(self):
+            return "odd"
+
+    cases = [
+        (Fraction(6, 8), "3/4"),
+        (Odd(3, 4), "3/4"),
+        (5, "5"),
+        (True, "1"),
+        (Fraction(-3, 4), "-3/4"),
+        (-2, "-2"),
+        (" 2/4 ", "1/2"),
+        (0.5, "1/2"),
+    ]
+    for value, text in cases:
+        assert format_rational(value) == text
+
+
 def test_parse_rejects_garbage():
     for bad in ("", "one third", "1/3/5", "3//4", "1/0", "0/0", "-5/0"):
         with pytest.raises(ValueError):

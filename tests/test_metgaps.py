@@ -1,3 +1,4 @@
+import bisect
 import random
 from fractions import Fraction
 
@@ -125,6 +126,24 @@ def test_kappa_hand_examples():
     assert metgaps.kappa(c, F(39, 100)) == 2
     with pytest.raises(ValueError):
         metgaps.kappa(c, F(0))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_float_kappa_search_matches_bisect(dim):
+    # the closed inequality on a float cloud, against bisect_right on the
+    # weights as a list: at each weight, one float either side of it, and
+    # below and above them all
+    rng = np.random.default_rng(dim)
+    pts = rng.random((300, dim)) if dim > 1 else rng.random(300)
+    c = PointCloud.from_points(pts.tolist())
+    weights = c.tree_weights.tolist()
+    deltas = [weights[0] / 2, weights[-1] * 2]
+    for w in weights:
+        deltas += [w, np.nextafter(w, 0.0), np.nextafter(w, np.inf)]
+    for d in deltas:
+        got = metgaps.kappa(c, d)
+        assert type(got) is int
+        assert got == c.n - bisect.bisect_right(weights, float(d))
 
 
 def test_kappa_matches_brute_force_dim1_exact():

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -131,6 +133,51 @@ def test_enumerate_matches_cover_complement_random(rng):
         cutoff = F(1, 60)
         got = list(symgaps.enumerate_gaps(s, cutoff).values)
         assert got == cover_complement_gaps(g, "u", cutoff)
+
+
+def reference_enumerate(s, cutoff):
+    """Reference enumeration over Fractions: the same walk, one Fraction
+    per candidate value, a set of Fractions and a sort that compares them
+    pairwise."""
+    values = set()
+    walk = model.ProductWalk(s.graph, s.root, symgaps._max_visible(s))
+    for v, n, d in walk.reach(cutoff, 8 * symgaps.DEFAULT_VALUE_BUDGET, "reference"):
+        for sp in s.level0[v]:
+            val = F(n * sp.numerator, d * sp.denominator)
+            if val >= cutoff:
+                values.add(val)
+    return tuple(sorted(values, reverse=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+def test_enumerate_matches_fraction_set_reference(seed, k):
+    g = random_hull_disjoint(random.Random(seed))
+    s = build(g)
+    # gap lengths to pick a cutoff from: the level-0 spacings, which are gap
+    # lengths too, when none lies at or above 10**-k
+    members = reference_enumerate(s, F(1, 10**k)) or s.level0["u"]
+    # plain cutoffs, and one equal to an enumerated value, which is kept
+    for cutoff in (F(1, 10**k), F(3, 7 * 10**k), members[len(members) // 2]):
+        want = reference_enumerate(s, cutoff)
+        got = symgaps.enumerate_gaps(build(g), cutoff).values
+        assert got == want
+        assert all(type(v) is F and math.gcd(v.numerator, v.denominator) == 1 for v in got)
+    # the budget counts distinct values: exactly enough passes, one fewer fails
+    assert symgaps.enumerate_gaps(build(g), cutoff, budget=len(want)).values == want
+    with pytest.raises(model.ResourceError):
+        symgaps.enumerate_gaps(build(g), cutoff, budget=len(want) - 1)
+
+
+def test_enumerate_orders_float_ties_exactly():
+    # the two level-0 spacings differ by 10**-20, so they and every rescaled
+    # pair round to one float, and only the exact comparison orders them
+    s = build(ifs(("1/10", 1, "0"), ("1/10", 1, "2/5"), ("1/10", 1, F(4, 5) + F(1, 10**20))))
+    lo, hi = s.level0["u"]
+    assert lo < hi and float(lo) == float(hi)
+    values = symgaps.enumerate_gaps(s, F(1, 1000)).values
+    assert values == (hi, lo, hi / 10, lo / 10, hi / 100, lo / 100)
+    assert values == reference_enumerate(s, F(1, 1000))
 
 
 def test_enumerate_monotone_in_cutoff():
